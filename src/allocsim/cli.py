@@ -137,8 +137,12 @@ def _load_scoring(literal: str) -> ScoringSpec:
         return ScoringSpec.lexicographic()
     if literal.startswith("custom:"):
         path = literal.split(":", 1)[1]
-        with open(path) as fh:
-            return parse_scoring_text(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise _CodedError(f"cannot read scoring file {path!r}: {exc.strerror}", EXIT_PARSE)
+        return parse_scoring_text(text)
     raise click.UsageError(f"unknown scoring literal {literal!r}")
 
 
@@ -254,7 +258,7 @@ def simulate(policy_literal, profile_path, scoring_literal, fmt, output):
 @click.option("--criterion", "criterion_literal", default="uuu", show_default=True)
 @click.option("--profile", "profile_path", type=click.Path(exists=True), default=None,
               help="Evaluate at one profile instead of over the whole space.")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--budget", type=float, default=None, help="Per-run budget in seconds.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 @click.option("--output", type=click.Path(), default=None)
@@ -304,7 +308,7 @@ def eval_cmd(m, n, policy_literal, scoring_literal, criterion_literal, profile_p
 @click.option("--scoring", "scoring_literal", default="borda", show_default=True)
 @click.option("--criterion", "criterion_literal", default="uuu", show_default=True,
               help="uuu (sum of expectations), euu (min of expectations) or em-u (expected minimum).")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--budget", type=float, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--output", type=click.Path(), default=None)
@@ -342,7 +346,7 @@ def optimal_seq(m, n, scoring_literal, criterion_literal, jobs, budget, fmt, out
 @click.option("--id", "table_id", type=click.IntRange(1, 5), required=True)
 @click.option("--max-m", type=int, default=None)
 @click.option("--max-n", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--budget", type=float, default=None, help="Per-cell budget in seconds.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--output", type=click.Path(), default=None)

@@ -6,8 +6,10 @@ over lottery outcomes (z).  ``sw(x,y,z)`` composes them outside-in.  A second,
 non-compositional reading used by the expected-min comparison suite averages
 the per-profile minimum across agents: ``E_R[min_i u_i(z, R)]``.
 
-Everything here is exhaustive enumeration over the (optionally symmetry
-reduced) profile stream, with exact rational results.  One pass per
+Everything here is exact rational arithmetic.  The all-reporting values of
+the comparison tables come from a closed-form DP over the remaining ranks;
+everything else is exhaustive enumeration over the (optionally symmetry
+reduced) profile stream.  One pass per
 ``(policy, scoring, m, n)`` collects every statistic any criterion needs; the
 pass can be chunked across worker processes, and the chunk reduction is
 order-fixed so results are bit-identical for any worker count.
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceededError
-from .model import Profile, ProfileStream, Ranking, ScoringSpec, _all_perms, enumerate_profiles
+from .model import Profile, ProfileStream, Ranking, ScoringSpec, enumerate_profiles
 from .parallel import (
     AllReporting,
     FromSequential,
@@ -58,6 +60,7 @@ __all__ = [
     "reproduce_table",
     "optimal_sequential_expected_min",
     "resolve_budget_units",
+    "worker_count",
     "DEFAULT_BUDGET_SECS",
     "UNITS_PER_SECOND",
 ]
@@ -295,6 +298,13 @@ def _merge_stats(parts):
 _aggregate_cache: dict = {}
 
 
+def worker_count(jobs: int, cpus: int | None) -> int:
+    """Worker processes for ``jobs``: never more than the CPU count."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, cpus or 1)
+
+
 def profile_aggregates(
     policy: ParallelPolicy,
     g: ScoringSpec,
@@ -307,6 +317,7 @@ def profile_aggregates(
     """Exhaustive one-pass statistics for a policy over the profile stream."""
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
+    workers = worker_count(jobs, os.cpu_count())
     budget = budget_units if budget_units is not None else resolve_budget_units()
     stream = enumerate_profiles(m, n, reduce_symmetry)
     estimated = stream.count * m
@@ -323,12 +334,12 @@ def profile_aggregates(
         cached = _aggregate_cache.get(cache_key)
         if cached is not None:
             return cached
-    if jobs > 1 and token is not None and stream.count > 4 * jobs:
-        chunks = stream.partition(jobs * 4)
+    if workers > 1 and token is not None and stream.count > 4 * workers:
+        chunks = stream.partition(workers * 4)
         tasks = [
             (m, n, token, _scoring_token(g), reduce_symmetry, c.lo, c.hi) for c in chunks
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_compute_chunk, tasks))
         result = _merge_stats(parts)
     else:
@@ -339,74 +350,46 @@ def profile_aggregates(
 
 
 # ---------------------------------------------------------------------------
-# Quotient pass: identical statistics for agent-symmetric scalars, folding
-# together profiles that differ only by permuting agents 2..n.  Sound only
-# for policies that never mention agent identities; used for the expensive
-# utilitarian table cells and pinned to the plain pass by tests.
+# Closed form for the all-reporting policy.  Under all-reporting every
+# demanded object leaves play whoever wins it, so the remaining set evolves
+# without regard to lottery outcomes.  Fix agent 1's ranking to the identity:
+# she demands the best remaining rank p, and by the principle of deferred
+# decisions each other agent's demand is uniform over the r remaining objects,
+# independently across agents and of the past.  With k others on p, agent 1
+# banks g(p)/(k+1) in expectation and g(p) for sure when k = 0; the next state
+# keeps a uniform subset of the other remaining objects, of a size set by how
+# many distinct ones the others hit.  By linearity only the two marginal laws
+# are needed.  By agent symmetry the result is every agent's value.
 
 
-def _multiset_weight(combo: tuple[int, ...]) -> int:
-    weight = math.factorial(len(combo))
-    for _, group in itertools.groupby(combo):
-        weight //= math.factorial(sum(1 for _ in group))
-    return weight
+def _hit_law(r: int, others: int) -> list[int]:
+    """Ways, out of ``r ** others``, for ``others`` agents each demanding one
+    of ``r`` objects to hit exactly ``s`` distinct objects besides a fixed
+    one, indexed by ``s``."""
+    ways = [1]
+    for _ in range(others):
+        nxt = [0] * (len(ways) + 1)
+        for s, w in enumerate(ways):
+            nxt[s] += w * (s + 1)  # the fixed object or one already hit
+            nxt[s + 1] += w * (r - 1 - s)  # a new object
+        ways = nxt
+    return ways
 
 
-def _symmetric_chunk(task):
-    m, n, scoring_token, lo, hi = task
-    g = _scoring_from_token(scoring_token)
-    int_row, denom = g.integer_row(m)
-    scale = math.lcm(*range(1, n + 1))
-    perms = _all_perms(m)
-    fixed = tuple(range(1, m + 1))
-    count = 0
-    sum_total_hat = 0
-    sum_min_hat = 0
-    sum_min_under = 0
-    min_min_under: int | None = None
-    min_min_hat: int | None = None
-    for lead in range(lo, hi):
-        for rest in itertools.combinations_with_replacement(range(lead, len(perms)), n - 2):
-            combo = (lead,) + rest
-            weight = _multiset_weight(combo)
-            orders = (fixed,) + tuple(perms[i] for i in combo)
-            hat, under = all_reporting_values_scaled(orders, int_row, scale)
-            count += weight
-            sum_total_hat += sum(hat) * weight
-            mh = min(hat)
-            mu = min(under)
-            sum_min_hat += mh * weight
-            sum_min_under += mu * weight
-            if min_min_hat is None or mh < min_min_hat:
-                min_min_hat = mh
-            if min_min_under is None or mu < min_min_under:
-                min_min_under = mu
-    if count == 0:
-        return None
-    full_scale = scale * denom
-    return (
-        count,
-        Fraction(sum_total_hat, full_scale),
-        Fraction(sum_min_hat, full_scale),
-        Fraction(sum_min_under, full_scale),
-        Fraction(min_min_hat, full_scale),
-        Fraction(min_min_under, full_scale),
+def _dp_transitions(m: int, n: int) -> int:
+    """Number of (state, next state) transitions the closed form visits.
+
+    A state keeps ``r`` ranks, the best of them ``a + 1``; it is reachable
+    exactly when its ``m - r`` removed ranks fit into ``a`` stages of at most
+    ``n`` demands.  Each such state moves to every subset of its other
+    ``r - 1`` ranks that drops at most ``n - 1`` of them.
+    """
+    return sum(
+        math.comb(m - a - 1, r - 1) * sum(math.comb(r - 1, s) for s in range(min(n - 1, r - 1) + 1))
+        for a in range(m)
+        for r in range(1, m - a + 1)
+        if m - r <= a * n
     )
-
-
-@dataclass(frozen=True)
-class SymmetricAggregates:
-    """Agent-symmetric statistics from the quotient pass."""
-
-    total_weight: int
-    sum_total_hat: Fraction
-    sum_min_hat: Fraction
-    sum_min_under: Fraction
-    min_min_hat: Fraction
-    min_min_under: Fraction
-
-
-_symmetric_cache: dict = {}
 
 
 def symmetric_aggregates(
@@ -414,48 +397,59 @@ def symmetric_aggregates(
     g: ScoringSpec,
     m: int,
     n: int,
-    jobs: int = 1,
     budget_units: int | None = None,
-) -> SymmetricAggregates:
+) -> tuple[Fraction, Fraction]:
+    """Any one agent's expected and guaranteed utility under all-reporting,
+    each averaged over all profiles, exactly.  One work unit is one
+    transition of the closed form.
+
+    ``bench/tracer.py`` wraps this function by its name and reads its
+    ``policy``, ``m``, ``n`` and ``budget_units`` arguments.
+    """
     if not isinstance(policy, AllReporting):
-        raise ValueError("quotient pass only applies to identity-insensitive stage policies")
-    if n < 2:
-        raise ValueError("quotient pass needs at least two agents")
+        raise ValueError("the closed form only applies to the all-reporting policy")
+    if m < 1 or n < 1:
+        raise ValueError("m and n must both be at least 1")
     budget = budget_units if budget_units is not None else resolve_budget_units()
-    perm_count = math.factorial(m)
-    items = math.comb(perm_count + n - 2, n - 1)
-    estimated = items * m
+    estimated = _dp_transitions(m, n)
     if estimated > budget:
         raise BudgetExceededError(
-            f"enumeration needs about {estimated} work units, budget is {budget}",
+            f"closed form needs {estimated} work units, budget is {budget}",
             estimated=estimated,
             budget=budget,
         )
-    key = (m, n, _policy_token(policy), _scoring_token(g))
-    cached = _symmetric_cache.get(key)
-    if cached is not None:
-        return cached
-    if jobs > 1 and perm_count > jobs:
-        bounds = [(perm_count * k) // (jobs * 4) for k in range(jobs * 4 + 1)]
-        tasks = [
-            (m, n, _scoring_token(g), a, b) for a, b in zip(bounds, bounds[1:]) if b > a
+    row = g.score_row(m)
+    # laws[r]: expected share of the demanded object, chance of demanding it
+    # alone, and (size, chance) of each kept subset of the other r - 1 objects
+    laws: dict[int, tuple[Fraction, Fraction, list[tuple[int, Fraction]]]] = {}
+    for r in range(1, m + 1):
+        total = r ** (n - 1)
+        moves = [
+            (r - 1 - s, Fraction(w, total * math.comb(r - 1, s)))
+            for s, w in enumerate(_hit_law(r, n - 1))
+            if w
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = [p for p in pool.map(_symmetric_chunk, tasks) if p is not None]
-    else:
-        parts = [_symmetric_chunk((m, n, _scoring_token(g), 0, perm_count))]
-        parts = [p for p in parts if p is not None]
-    count = sum(p[0] for p in parts)
-    result = SymmetricAggregates(
-        count * math.factorial(m),
-        sum(p[1] for p in parts) * math.factorial(m),
-        sum(p[2] for p in parts) * math.factorial(m),
-        sum(p[3] for p in parts) * math.factorial(m),
-        min(p[4] for p in parts),
-        min(p[5] for p in parts),
-    )
-    _symmetric_cache[key] = result
-    return result
+        laws[r] = (Fraction(r**n - (r - 1) ** n, n * total), Fraction((r - 1) ** (n - 1), total), moves)
+    memo = {(): (Fraction(0), Fraction(0))}
+
+    def value(remaining: tuple[int, ...]) -> tuple[Fraction, Fraction]:
+        cached = memo.get(remaining)
+        if cached is None:
+            share, alone, moves = laws[len(remaining)]
+            top, rest = row[remaining[0]], remaining[1:]
+            expected, guaranteed = top * share, top * alone
+            for size, chance in moves:
+                sum_e = sum_g = Fraction(0)
+                for kept in itertools.combinations(rest, size):
+                    e, gu = value(kept)
+                    sum_e += e
+                    sum_g += gu
+                expected += chance * sum_e
+                guaranteed += chance * sum_g
+            cached = memo[remaining] = (expected, guaranteed)
+        return cached
+
+    return value(tuple(range(1, m + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -646,16 +640,12 @@ def _scoring_for(table: TableSpec) -> ScoringSpec:
 def _all_reporting_value(
     criterion: WelfareCriterion, g: ScoringSpec, m: int, n: int, jobs: int, budget_units
 ) -> Fraction:
-    """All-reporting column value; routes agent-symmetric scalars through the
-    quotient pass when that is cheaper."""
-    symmetric = criterion.mode == "emin" or (criterion.mode == "comp" and criterion.y == "u" and criterion.x == "u")
-    if symmetric and n >= 3:
-        stats = symmetric_aggregates(AllReporting(), g, m, n, jobs, budget_units)
-        if criterion.mode == "emin":
-            total = stats.sum_min_hat if criterion.z == "u" else stats.sum_min_under
-            return total / stats.total_weight
-        if criterion.z == "u":
-            return stats.sum_total_hat / stats.total_weight
+    """All-reporting column value.  Criteria that average over profiles
+    (y = u) come from the closed form; the rest enumerate profiles."""
+    if criterion.mode == "comp" and criterion.y == "u":
+        expected, guaranteed = symmetric_aggregates(AllReporting(), g, m, n, budget_units)
+        value = expected if criterion.z == "u" else guaranteed
+        return n * value if criterion.x == "u" else value
     return evaluate_criterion(criterion, AllReporting(), g, m, n, jobs=jobs, budget_units=budget_units)
 
 

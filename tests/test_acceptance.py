@@ -80,11 +80,14 @@ TABLE1 = {
     (5, 2): ("12121", "18.625", "18.625"),
     (6, 2): ("121212", "26.396", "26.396"),
     (7, 2): ("1212121", "35.396", "35.396"),
+    (10, 2): ("1212121212", "70.569", "70.569"),
     (4, 3): ("1231", "13.083", "13.297"),
     (5, 3): ("12312", "20.033", "20.382"),
     (6, 3): ("123123", "28.622", "28.840"),
+    (7, 3): ("1231231", "38.511", "38.864"),
     (4, 4): ("1234", "13.583", "13.885"),
     (5, 4): ("12341", "20.800", "21.351"),
+    (6, 4): ("123412", "29.600", "30.377"),
 }
 TABLE2 = {
     (4, 2): ("1212", "20.458", "20.458"),

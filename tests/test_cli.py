@@ -95,6 +95,23 @@ class TestExitCodes:
     def test_policy_violation_is_5(self, profile_file):
         run_cli("simulate", "--policy", "seq:12", "--profile", profile_file, expect_code=5)
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_2(self, jobs):
+        run_cli("tables", "--id", "5", "--max-m", "2", "--jobs", jobs, expect_code=2)
+        run_cli("eval", "-m", "2", "-n", "2", "--policy", "all", "--jobs", jobs, expect_code=2)
+        run_cli("optimal-seq", "-m", "2", "-n", "2", "--jobs", jobs, expect_code=2)
+
+    def test_missing_scoring_file_is_3(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "allocsim.cli", "eval", "-m", "3", "-n", "2", "--policy", "all",
+             "--scoring", f"custom:{tmp_path / 'missing.txt'}"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "cannot read scoring file" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestEval:
     def test_space_value(self):

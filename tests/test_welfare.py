@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocsim.errors import BudgetExceededError
 from allocsim.model import Profile, Ranking, ScoringSpec, identity_ranking
@@ -24,6 +26,7 @@ from allocsim.welfare import (
     reproduce_table,
     social_welfare,
     symmetric_aggregates,
+    worker_count,
 )
 
 MILLI = Fraction(1, 1000)
@@ -163,19 +166,80 @@ class TestSequentialEmbeddingConsistency:
         assert value == expected_welfare_sequential(pi, borda, Aggregator.UTILITARIAN, n=3)
 
 
+def custom_row(m):
+    """A strictly decreasing rational score row for m objects."""
+    return ScoringSpec.custom([Fraction(3 * (m - k) + 1, k + 2) for k in range(m)])
+
+
+def assert_closed_form_matches_plain_pass(g, m, n):
+    expected, guaranteed = symmetric_aggregates(AllReporting(), g, m, n)
+    plain = profile_aggregates(AllReporting(), g, m, n)
+    assert plain.expected("u") == (expected,) * n
+    assert plain.expected("e") == (guaranteed,) * n
+
+
+def transitions_by_search(m, n):
+    """Count the closed form's transitions by walking every reachable state."""
+    seen = {tuple(range(1, m + 1))}
+    todo = list(seen)
+    count = 0
+    while todo:
+        rest = todo.pop()[1:]
+        for dropped in range(min(n - 1, len(rest)) + 1):
+            for kept in itertools.combinations(rest, len(rest) - dropped):
+                count += 1
+                if kept and kept not in seen:
+                    seen.add(kept)
+                    todo.append(kept)
+    return count
+
+
 class TestQuotientPass:
-    @pytest.mark.parametrize("kind", ["borda", "lex"])
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    """The all-reporting closed form, which replaced the quotient pass, pinned
+    to the plain enumeration pass: every agent's profile-averaged expected
+    and guaranteed utility, exactly."""
+
+    @pytest.mark.parametrize("kind", ["borda", "lex", "custom"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_matches_plain_pass(self, kind, m):
-        g = ScoringSpec(kind)
-        sym = symmetric_aggregates(AllReporting(), g, m, 3)
-        plain = profile_aggregates(AllReporting(), g, m, 3)
-        assert sym.total_weight == plain.total_weight
-        assert sym.sum_total_hat == sum(plain.sum_hat)
-        assert sym.sum_min_hat == plain.sum_min_hat
-        assert sym.sum_min_under == plain.sum_min_under
-        assert sym.min_min_hat == min(plain.min_hat)
-        assert sym.min_min_under == min(plain.min_under)
+        g = custom_row(m) if kind == "custom" else ScoringSpec(kind)
+        # (5, 4) is left out: its plain pass enumerates 1.7M profiles.
+        for n in (1, 2, 3, 4) if m < 5 else (1, 2, 3):
+            assert_closed_form_matches_plain_pass(g, m, n)
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(
+        cell=st.sampled_from([(m, n) for m in range(1, 6) for n in range(1, 5) if (m, n) != (5, 4)]),
+        data=st.data(),
+    )
+    def test_random_rational_scores(self, cell, data):
+        m, n = cell
+        values = data.draw(st.lists(
+            st.fractions(min_value=Fraction(1, 50), max_value=100, max_denominator=60),
+            min_size=m, max_size=m,
+        ))
+        assert_closed_form_matches_plain_pass(ScoringSpec.custom(sorted(values, reverse=True)), m, n)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (3, 1), (4, 2), (5, 5), (7, 3), (8, 3), (10, 2), (6, 4)])
+    def test_budget_estimate_counts_transitions(self, borda, m, n):
+        with pytest.raises(BudgetExceededError) as refused:
+            symmetric_aggregates(AllReporting(), borda, m, n, budget_units=0)
+        assert refused.value.estimated == transitions_by_search(m, n)
+
+    def test_budget_is_exact(self, borda):
+        symmetric_aggregates(AllReporting(), borda, 8, 3, budget_units=614)
+        with pytest.raises(BudgetExceededError):
+            symmetric_aggregates(AllReporting(), borda, 8, 3, budget_units=613)
+
+    def test_timed_out_cells(self, borda):
+        # Table 1 cells the enumeration could not answer at the default budget.
+        for m, n, printed in ((10, 2, "70.569"), (7, 3, "38.864"), (8, 3, "50.381"), (6, 4, "30.377")):
+            expected, _ = symmetric_aggregates(AllReporting(), borda, m, n)
+            assert close(n * expected, printed, MILLI / 2)
+
+    def test_rejects_other_policies(self, borda):
+        with pytest.raises(ValueError):
+            symmetric_aggregates(LoserReporting(), borda, 3, 2)
 
 
 class TestSymmetrySoundness:
@@ -249,10 +313,13 @@ class TestTables:
             assert close(row.value_all_reporting, all_value)
 
     def test_timeout_cells_reported_not_fatal(self):
-        rows = reproduce_table(1, cells=[(4, 2), (8, 3)], budget_units=10_000)
+        # The all-reporting closed form needs 15 work units at (4, 2) and
+        # 614 at (8, 3).
+        rows = reproduce_table(1, cells=[(4, 2), (8, 3)], budget_units=100)
         assert rows[0].status == "ok"
         assert rows[1].status == "timeout"
         assert rows[1].value_star is None
+        assert rows[1].value_all_reporting is None
 
     def test_unknown_table(self):
         with pytest.raises(ValueError):
@@ -271,3 +338,22 @@ class TestEvaluateCriterion:
             parse_criterion("uuu"), policy, borda, 2, 2
         )
         assert evaluate_criterion(parse_criterion("em-u"), policy, borda, 2, 2) == Fraction(7, 4)
+
+
+class TestWorkerCount:
+    def test_clamped_to_cpu_count(self):
+        assert worker_count(1, 4) == 1
+        assert worker_count(3, 4) == 3
+        assert worker_count(64, 2) == 2
+
+    def test_unknown_cpu_count_means_one_worker(self):
+        assert worker_count(4, None) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_fewer_than_one(self, jobs):
+        with pytest.raises(ValueError):
+            worker_count(jobs, 4)
+
+    def test_profile_pass_rejects_zero_jobs(self, borda):
+        with pytest.raises(ValueError):
+            profile_aggregates(AllReporting(), borda, 2, 2, jobs=0)
