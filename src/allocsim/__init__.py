@@ -54,11 +54,9 @@ from .parallel import (
     build_structure,
     enumerate_outcomes,
     guaranteed_utilities,
-    expected_utility_at,
     lottery_expected_utilities,
     next_reporters,
     parse_policy,
-    guaranteed_utility_at,
 )
 from .welfare import (
     TableRow,

@@ -16,6 +16,13 @@ Two per-agent values are computed at every node:
 
 For a policy embedding a turn sequence there is a single run and both equal
 the realized sequential utility.
+
+The structure and its recursions serve the per-profile commands and, with
+:func:`enumerate_outcomes`, are the reference the tests hold the integer
+kernels at the end of this module to.  Profile-space passes use those
+kernels: ``all_reporting_values_scaled`` for all-reporting,
+``sequential_values_scaled`` for a turn sequence and
+``policy_values_scaled`` for any other policy.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Sequence
 
 from .errors import BudgetExceededError, PolicyViolationError
@@ -43,8 +51,6 @@ __all__ = [
     "build_structure",
     "lottery_expected_utilities",
     "guaranteed_utilities",
-    "expected_utility_at",
-    "guaranteed_utility_at",
     "enumerate_outcomes",
 ]
 
@@ -373,20 +379,6 @@ def guaranteed_utilities(structure: AllocationStructure, g: ScoringSpec) -> tupl
     return result
 
 
-def expected_utility_at(structure: AllocationStructure, g: ScoringSpec, agent: int) -> Fraction:
-    """Expected utility of one agent at the root (over lottery outcomes)."""
-    if not 1 <= agent <= structure.n:
-        raise ValueError(f"agent {agent} out of range 1..{structure.n}")
-    return lottery_expected_utilities(structure, g)[agent - 1]
-
-
-def guaranteed_utility_at(structure: AllocationStructure, g: ScoringSpec, agent: int) -> Fraction:
-    """Guaranteed (pessimistic) utility of one agent at the root."""
-    if not 1 <= agent <= structure.n:
-        raise ValueError(f"agent {agent} out of range 1..{structure.n}")
-    return guaranteed_utilities(structure, g)[agent - 1]
-
-
 def enumerate_outcomes(
     structure: AllocationStructure, max_outcomes: int = DEFAULT_OUTCOME_BUDGET
 ) -> list[tuple[dict[int, frozenset[int]], Fraction]]:
@@ -421,7 +413,7 @@ def enumerate_outcomes(
 
 
 # ---------------------------------------------------------------------------
-# Fast per-profile evaluators used by the welfare enumerations.  These bypass
+# Integer per-profile kernels used by the welfare enumerations.  These bypass
 # structure construction; the test suite pins them to the recursive values.
 
 
@@ -486,3 +478,84 @@ def sequential_values_scaled(
         taken[row[p]] = True
         totals[agent - 1] += int_row[p + 1] * scale
     return totals
+
+
+def policy_values_scaled(
+    policy: ParallelPolicy,
+    order_rows: Sequence[tuple[int, ...]],
+    int_row: Sequence[int],
+    scale: int,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Expected and guaranteed utilities under any policy, times ``scale``.
+
+    The same two recursions as :func:`lottery_expected_utilities` and
+    :func:`guaranteed_utilities`, memoized on (remaining objects as a
+    bitmask, policy state) like :func:`build_structure`, without building
+    the structure.  The policy is only asked for its ``initial_state``,
+    ``reporters`` and ``advance``.  Each stage averages over at most as many
+    contested objects as it removes, each contested by at most n agents, so
+    every value times ``lcm(1..n) ** m`` is an integer and ``scale`` must be
+    a multiple of it.
+    """
+    n = len(order_rows)
+    m = len(order_rows[0])
+    reporters_at, advance = policy.reporters, policy.advance
+    memo: dict = {}
+    no_losers: frozenset[int] = frozenset()
+
+    def value(remaining: int, state) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        key = (remaining, state)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        reporters = reporters_at(state, n)
+        groups: dict[int, list[int]] = {}
+        gains = [0] * n
+        for agent in reporters:
+            row = order_rows[agent - 1]
+            p = 0
+            while not remaining >> row[p] & 1:
+                p += 1
+            groups.setdefault(row[p], []).append(agent)
+            gains[agent - 1] = int_row[p + 1] * scale
+        if not groups:
+            raise PolicyViolationError("a stage with no reporters removes no object")
+        left = remaining
+        for obj in groups:
+            left &= ~(1 << obj)
+        contested = [agents for agents in groups.values() if len(agents) > 1]
+        if not contested:
+            if left:
+                child_e, child_g = value(left, advance(state, reporters, no_losers))
+                result = (tuple(map(add, gains, child_e)), tuple(map(add, gains, child_g)))
+            else:
+                result = (tuple(gains), tuple(gains))
+            memo[key] = result
+            return result
+        stage = list(gains)
+        for agents in contested:
+            for agent in agents:
+                stage[agent - 1] //= len(agents)
+        acc = best = None
+        out = 0
+        for winners in itertools.product(*contested):
+            losers = frozenset(a for agents, w in zip(contested, winners) for a in agents if a != w)
+            if left:
+                child_e, child_g = value(left, advance(state, reporters, losers))
+            else:
+                child_e = child_g = (0,) * n
+            won = list(gains)
+            for agent in losers:
+                won[agent - 1] = 0
+            won = list(map(add, won, child_g))
+            if acc is None:
+                acc, best = list(child_e), won
+            else:
+                acc = list(map(add, acc, child_e))
+                best = list(map(min, best, won))
+            out += 1
+        result = (tuple(s + a // out for s, a in zip(stage, acc)), tuple(best))
+        memo[key] = result
+        return result
+
+    return value((1 << (m + 1)) - 2, policy.initial_state())

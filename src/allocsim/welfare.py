@@ -6,13 +6,23 @@ over lottery outcomes (z).  ``sw(x,y,z)`` composes them outside-in.  A second,
 non-compositional reading used by the expected-min comparison suite averages
 the per-profile minimum across agents: ``E_R[min_i u_i(z, R)]``.
 
-Everything here is exact rational arithmetic.  The all-reporting values of
-the comparison tables come from a closed-form DP over the remaining ranks;
-everything else is exhaustive enumeration over the (optionally symmetry
-reduced) profile stream.  One pass per
-``(policy, scoring, m, n)`` collects every statistic any criterion needs; the
-pass can be chunked across worker processes, and the chunk reduction is
-order-fixed so results are bit-identical for any worker count.
+Everything here is exact.  Which code serves which value:
+
+* criteria that average all-reporting values over profiles (y = u, tables
+  1-4) come from a closed-form DP over the remaining ranks
+  (:func:`symmetric_aggregates`), without enumerating profiles;
+* every other profile-space value is one pass over the (optionally symmetry
+  reduced) profile stream with an integer per-profile kernel from
+  :mod:`allocsim.parallel`: ``all_reporting_values_scaled`` for ``all``,
+  ``sequential_values_scaled`` for a turn sequence and
+  ``policy_values_scaled`` for ``loser`` and custom policies;
+* single-profile values (:func:`profile_utilities`) build the allocation
+  structure and run its two ``Fraction`` recursions.
+
+One pass per ``(policy, scoring, m, n)`` collects every statistic any
+criterion needs as integers times one scale; the pass can be chunked across
+worker processes, and the chunk reduction is order-fixed and exact, so
+results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceededError
-from .model import Profile, ProfileStream, Ranking, ScoringSpec, enumerate_profiles
+from .model import Profile, ProfileStream, ScoringSpec, enumerate_profiles
 from .parallel import (
     AllReporting,
     FromSequential,
@@ -37,6 +47,7 @@ from .parallel import (
     guaranteed_utilities,
     lottery_expected_utilities,
     parse_policy,
+    policy_values_scaled,
     sequential_values_scaled,
 )
 from .sequential import (
@@ -174,8 +185,9 @@ def _scoring_from_token(token) -> ScoringSpec:
     return ScoringSpec(kind)
 
 
-def _chunk_stats_fast(orders_iter, evaluate, n: int, scale: int):
-    """Accumulate the raw statistics of one chunk using scaled integers."""
+def _chunk_stats(orders_iter, evaluate, n: int, scale: int):
+    """Accumulate the raw statistics of one chunk in integers: ``scale``
+    times every utility sum and minimum, exactly."""
     count = 0
     sum_hat = [0] * n
     sum_under = [0] * n
@@ -198,52 +210,7 @@ def _chunk_stats_fast(orders_iter, evaluate, n: int, scale: int):
         sum_min_under += min(under) * weight
     if count == 0:
         return None
-    return (
-        count,
-        tuple(Fraction(v, scale) for v in sum_hat),
-        tuple(Fraction(v, scale) for v in min_hat),
-        tuple(Fraction(v, scale) for v in sum_under),
-        tuple(Fraction(v, scale) for v in min_under),
-        Fraction(sum_min_hat, scale),
-        Fraction(sum_min_under, scale),
-    )
-
-
-def _chunk_stats_generic(orders_iter, policy: ParallelPolicy, g: ScoringSpec, n: int):
-    """Same statistics via full structure construction (any policy)."""
-    count = 0
-    sum_hat = [Fraction(0)] * n
-    sum_under = [Fraction(0)] * n
-    min_hat: list[Fraction | None] = [None] * n
-    min_under: list[Fraction | None] = [None] * n
-    sum_min_hat = Fraction(0)
-    sum_min_under = Fraction(0)
-    for orders, weight in orders_iter:
-        profile = Profile(tuple(Ranking(o) for o in orders))
-        structure = build_structure(policy, profile)
-        hat = lottery_expected_utilities(structure, g)
-        under = guaranteed_utilities(structure, g)
-        count += weight
-        for i in range(n):
-            sum_hat[i] += hat[i] * weight
-            sum_under[i] += under[i] * weight
-            if min_hat[i] is None or hat[i] < min_hat[i]:
-                min_hat[i] = hat[i]
-            if min_under[i] is None or under[i] < min_under[i]:
-                min_under[i] = under[i]
-        sum_min_hat += min(hat) * weight
-        sum_min_under += min(under) * weight
-    if count == 0:
-        return None
-    return (
-        count,
-        tuple(sum_hat),
-        tuple(min_hat),
-        tuple(sum_under),
-        tuple(min_under),
-        sum_min_hat,
-        sum_min_under,
-    )
+    return scale, count, sum_hat, min_hat, sum_under, min_under, sum_min_hat, sum_min_under
 
 
 def _compute_chunk(task):
@@ -256,10 +223,13 @@ def _compute_chunk(task):
 
 
 def _stats_for_chunk(orders_iter, policy, g, m, n):
+    """Chunk statistics from the per-profile kernel that serves ``policy``:
+    one deterministic chain of stages under all-reporting, one run for a turn
+    sequence, the memoized lottery recursion for every other policy."""
     int_row, denom = g.integer_row(m)
     if isinstance(policy, AllReporting):
         scale = math.lcm(*range(1, n + 1))
-        return _chunk_stats_fast(
+        return _chunk_stats(
             orders_iter,
             lambda orders: all_reporting_values_scaled(orders, int_row, scale),
             n,
@@ -274,24 +244,35 @@ def _stats_for_chunk(orders_iter, policy, g, m, n):
             v = sequential_values_scaled(turns, orders, int_row, 1)
             return v, v
 
-        return _chunk_stats_fast(orders_iter, evaluate, n, denom)
-    return _chunk_stats_generic(orders_iter, policy, g, n)
+        return _chunk_stats(orders_iter, evaluate, n, denom)
+    scale = math.lcm(*range(1, n + 1)) ** m
+    return _chunk_stats(
+        orders_iter,
+        lambda orders: policy_values_scaled(policy, orders, int_row, scale),
+        n,
+        scale * denom,
+    )
 
 
 def _merge_stats(parts):
+    """Sum the chunks' integer statistics in order, then divide once."""
     parts = [p for p in parts if p is not None]
     if not parts:
         raise ValueError("empty profile stream")
-    count = sum(p[0] for p in parts)
-    n = len(parts[0][1])
-    sum_hat = tuple(sum(p[1][i] for p in parts) for i in range(n))
-    min_hat = tuple(min(p[2][i] for p in parts) for i in range(n))
-    sum_under = tuple(sum(p[3][i] for p in parts) for i in range(n))
-    min_under = tuple(min(p[4][i] for p in parts) for i in range(n))
-    sum_min_hat = sum(p[5] for p in parts)
-    sum_min_under = sum(p[6] for p in parts)
+    scale = parts[0][0]
+    n = len(parts[0][2])
+
+    def exact(v: int) -> Fraction:
+        return Fraction(v, scale)
+
     return ProfileAggregates(
-        count, sum_hat, min_hat, sum_under, min_under, sum_min_hat, sum_min_under
+        sum(p[1] for p in parts),
+        tuple(exact(sum(p[2][i] for p in parts)) for i in range(n)),
+        tuple(exact(min(p[3][i] for p in parts)) for i in range(n)),
+        tuple(exact(sum(p[4][i] for p in parts)) for i in range(n)),
+        tuple(exact(min(p[5][i] for p in parts)) for i in range(n)),
+        exact(sum(p[6] for p in parts)),
+        exact(sum(p[7] for p in parts)),
     )
 
 
@@ -675,15 +656,20 @@ def reproduce_table(
                 continue
             if max_n is not None and n > max_n:
                 continue
+        # Run the budgeted part that refuses cheaply first: table 5's search
+        # checks its budget up front, while its all-reporting pass enumerates;
+        # tables 1-4 answer the all-reporting column in milliseconds and
+        # their pi* search has no budget.
         try:
             if table.criterion.mode == "emin":
                 pi_star, value_star = optimal_sequential_expected_min(
                     m, n, g, jobs=jobs, budget_units=budget_units
                 )
+                value_all = _all_reporting_value(table.criterion, g, m, n, jobs, budget_units)
             else:
+                value_all = _all_reporting_value(table.criterion, g, m, n, jobs, budget_units)
                 aggregator = Aggregator.UTILITARIAN if table.criterion.x == "u" else Aggregator.EGALITARIAN
                 pi_star, value_star = optimal_sequential(m, n, g, aggregator)
-            value_all = _all_reporting_value(table.criterion, g, m, n, jobs, budget_units)
             rows.append(TableRow(table_id, m, n, pi_star, value_star, value_all))
         except BudgetExceededError:
             rows.append(TableRow(table_id, m, n, None, None, None, status="timeout"))

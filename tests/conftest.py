@@ -1,7 +1,21 @@
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from allocsim.model import Profile, Ranking, ScoringSpec
 from allocsim.welfare import BUDGET_ENV_VAR
+
+# Property tests draw the same examples on every machine and keep no example
+# database between runs.
+settings.register_profile("allocsim", derandomize=True, database=None, deadline=None)
+settings.load_profile("allocsim")
+
+# Without a database Hypothesis still caches what it parses from the source
+# files, already while tests are collected; keep that out of the working tree.
+_hypothesis_storage = tempfile.TemporaryDirectory(prefix="allocsim-hypothesis-")
+set_hypothesis_home_dir(_hypothesis_storage.name)
 
 
 @pytest.fixture(autouse=True)

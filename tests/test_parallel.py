@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocsim.errors import BudgetExceededError, PolicyViolationError
 from allocsim.model import Profile, Ranking, ScoringSpec, enumerate_profiles, identity_ranking
@@ -13,14 +16,15 @@ from allocsim.parallel import (
     CustomPolicy,
     FromSequential,
     LoserReporting,
+    all_reporting_values_scaled,
     build_structure,
     enumerate_outcomes,
     guaranteed_utilities,
-    expected_utility_at,
     lottery_expected_utilities,
     next_reporters,
     parse_policy,
-    guaranteed_utility_at,
+    policy_values_scaled,
+    sequential_values_scaled,
 )
 from allocsim.sequential import SequentialPolicy, realized_utilities
 
@@ -132,7 +136,7 @@ class TestRecursions:
     def test_expected_worked_example(self, example_profile, borda):
         structure = build_structure(AllReporting(), example_profile)
         assert lottery_expected_utilities(structure, borda) == (Fraction(29, 6), 8, Fraction(15, 2))
-        assert expected_utility_at(structure, borda, 1) == Fraction(29, 6)
+        assert lottery_expected_utilities(structure, borda)[1 - 1] == Fraction(29, 6)
 
     def test_expected_matches_sequential_on_embedding(self, example_profile, borda):
         pi = SequentialPolicy((1, 2, 3, 3, 2))
@@ -148,7 +152,7 @@ class TestRecursions:
     def test_guaranteed_worked_example(self, example_profile, lex):
         structure = build_structure(LoserReporting(), example_profile)
         assert guaranteed_utilities(structure, lex) == (8, 16, 12)
-        assert guaranteed_utility_at(structure, lex, 2) == 16
+        assert guaranteed_utilities(structure, lex)[2 - 1] == 16
 
     def test_guaranteed_identical_all_reporting_is_zero(self, borda, lex):
         for g in (borda, lex):
@@ -156,11 +160,12 @@ class TestRecursions:
             assert guaranteed_utilities(structure, g) == (0, 0)
 
     def test_agent_index_validation(self, example_profile, borda):
+        # One value per agent 1..n: agent 4 of three has none.
         structure = build_structure(AllReporting(), example_profile)
-        with pytest.raises(ValueError):
-            expected_utility_at(structure, borda, 0)
-        with pytest.raises(ValueError):
-            guaranteed_utility_at(structure, borda, 4)
+        with pytest.raises(IndexError):
+            lottery_expected_utilities(structure, borda)[4 - 1]
+        with pytest.raises(IndexError):
+            guaranteed_utilities(structure, borda)[4 - 1]
 
     def test_expected_at_least_guaranteed_at_every_node(self, borda):
         # Each node is a valid root for the recursions, so check them all.
@@ -288,3 +293,65 @@ class TestEquivariance:
             moved_under = guaranteed_utilities(build_structure(policy, permuted), borda)
             assert tuple(moved_hat[sigma[i - 1] - 1] for i in (1, 2, 3)) == base_hat
             assert tuple(moved_under[sigma[i - 1] - 1] for i in (1, 2, 3)) == base_under
+
+
+def rotating_with_losers(n):
+    """Stage t: agent t mod n + 1 and every lottery loser of stage t - 1.
+    It reads the history's length, so no smaller state summarizes it."""
+    return CustomPolicy(
+        lambda history: {len(history) % n + 1} | (history[-1][1] if history else frozenset()),
+        name="rotate",
+    )
+
+
+class TestKernelsProperty:
+    """Every per-profile kernel against the structure recursions, and those
+    against the complete runs of ``enumerate_outcomes``."""
+
+    @settings(max_examples=120)
+    @given(data=st.data())
+    def test_kernels_match_structure_and_outcomes(self, data):
+        m = data.draw(st.integers(1, 6), label="m")
+        n = data.draw(st.integers(1, 4), label="n")
+        orders = tuple(tuple(data.draw(st.permutations(range(1, m + 1)))) for _ in range(n))
+        values = data.draw(st.lists(
+            st.fractions(min_value=Fraction(1, 12), max_value=50, max_denominator=12),
+            min_size=m, max_size=m,
+        ))
+        g = data.draw(st.sampled_from([
+            ScoringSpec.borda(), ScoringSpec.lexicographic(), ScoringSpec.custom(sorted(values, reverse=True)),
+        ]))
+        turns = tuple(data.draw(st.lists(st.integers(1, n), min_size=m, max_size=m), label="turns"))
+        profile = Profile(tuple(Ranking(o) for o in orders))
+        row = g.score_row(m)
+        int_row, denom = g.integer_row(m)
+        lottery_scale = math.lcm(*range(1, n + 1))
+
+        def exact(scaled, scale):
+            return tuple(Fraction(v, scale * denom) for v in scaled)
+
+        everyone = AllReporting()
+        sequence = FromSequential(SequentialPolicy(turns))
+        realized_turns = sequential_values_scaled(turns, orders, int_row, 1)
+        fast = {
+            everyone: (all_reporting_values_scaled(orders, int_row, lottery_scale), lottery_scale),
+            sequence: ((realized_turns, realized_turns), 1),
+        }
+        for policy in (everyone, LoserReporting(), sequence, rotating_with_losers(n)):
+            structure = build_structure(policy, profile)
+            hat = lottery_expected_utilities(structure, g)
+            under = guaranteed_utilities(structure, g)
+            outcomes = enumerate_outcomes(structure)
+            realized = [
+                (tuple(sum(row[profile.rankings[i].rank_of(o)] for o in won[i + 1]) for i in range(n)), p)
+                for won, p in outcomes
+            ]
+            assert hat == tuple(sum(u[i] * p for u, p in realized) for i in range(n))
+            assert under == tuple(min(u[i] for u, _ in realized) for i in range(n))
+            kernel_hat, kernel_under = policy_values_scaled(policy, orders, int_row, lottery_scale**m)
+            assert exact(kernel_hat, lottery_scale**m) == hat
+            assert exact(kernel_under, lottery_scale**m) == under
+            if policy in fast:
+                (fast_hat, fast_under), scale = fast[policy]
+                assert exact(fast_hat, scale) == hat
+                assert exact(fast_under, scale) == under

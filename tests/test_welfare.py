@@ -1,13 +1,15 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allocsim.errors import BudgetExceededError
+import allocsim.welfare as welfare
+from allocsim.errors import BudgetExceededError, PolicyViolationError
 from allocsim.model import Profile, Ranking, ScoringSpec, identity_ranking
-from allocsim.parallel import AllReporting, FromSequential, LoserReporting
+from allocsim.parallel import AllReporting, CustomPolicy, FromSequential, LoserReporting, ParallelPolicy
 from allocsim.sequential import (
     Aggregator,
     SequentialPolicy,
@@ -207,7 +209,7 @@ class TestQuotientPass:
         for n in (1, 2, 3, 4) if m < 5 else (1, 2, 3):
             assert_closed_form_matches_plain_pass(g, m, n)
 
-    @settings(max_examples=50, deadline=None, database=None)
+    @settings(max_examples=50)
     @given(
         cell=st.sampled_from([(m, n) for m in range(1, 6) for n in range(1, 5) if (m, n) != (5, 4)]),
         data=st.data(),
@@ -325,6 +327,19 @@ class TestTables:
         with pytest.raises(ValueError):
             reproduce_table(7)
 
+    def test_budget_refusal_skips_pi_star_search(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return optimal_sequential(*args, **kwargs)
+
+        monkeypatch.setattr(welfare, "optimal_sequential", counting)
+        rows = reproduce_table(1, budget_units=1)
+        assert len(rows) == 15
+        assert all(row.status == "timeout" for row in rows)
+        assert calls == []
+
     def test_expected_min_search_small(self, borda):
         pi, value = optimal_sequential_expected_min(2, 2, borda)
         assert pi.turns == (1, 2)
@@ -357,3 +372,52 @@ class TestWorkerCount:
     def test_profile_pass_rejects_zero_jobs(self, borda):
         with pytest.raises(ValueError):
             profile_aggregates(AllReporting(), borda, 2, 2, jobs=0)
+
+
+class Silent(ParallelPolicy):
+    """Names no reporter, so a stage would remove no object."""
+
+    def reporters(self, state, n):
+        return frozenset()
+
+    def advance(self, state, reporters, losers):
+        return state
+
+
+class TestPolicyKernelPass:
+    """Profile passes for policies served by the memoized integer kernel."""
+
+    def test_stage_without_progress_is_violation(self, borda):
+        with pytest.raises(PolicyViolationError):
+            profile_aggregates(Silent(), borda, 3, 2)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda history: (),
+            lambda history: (4,),
+            lambda history: (1,) if not history else (),
+            lambda history: (1, 2) if not history else (0,),
+        ],
+        ids=["empty", "out-of-range", "empty-later", "out-of-range-later"],
+    )
+    def test_custom_policy_checks_fire(self, borda, fn):
+        with pytest.raises(PolicyViolationError):
+            profile_aggregates(CustomPolicy(fn), borda, 3, 3)
+
+    def test_loser_pool_equals_serial(self, borda, monkeypatch):
+        pools = []
+
+        class CountingPool(welfare.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(welfare, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(welfare, "_aggregate_cache", {})
+        serial = profile_aggregates(LoserReporting(), borda, 4, 3, jobs=1)
+        monkeypatch.setattr(welfare, "_aggregate_cache", {})
+        pooled = profile_aggregates(LoserReporting(), borda, 4, 3, jobs=2)
+        assert pools == [2]
+        assert pooled == serial
