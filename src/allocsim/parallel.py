@@ -28,6 +28,7 @@ kernels: ``all_reporting_values_scaled`` for all-reporting,
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -291,6 +292,7 @@ def build_structure(policy: ParallelPolicy, profile: Profile) -> AllocationStruc
         return node
 
     root = visit(frozenset(range(1, m + 1)), policy.initial_state(), 1)
+    del visit  # it refers to itself; breaking that cycle frees the memo now, not at a collection
     return AllocationStructure(root=root, nodes=tuple(order), policy=policy, profile=profile)
 
 
@@ -299,39 +301,42 @@ def lottery_expected_utilities(structure: AllocationStructure, g: ScoringSpec) -
 
     At each node an agent demanding an object contested by c agents banks
     1/c of its score; the continuation averages the children, counting one
-    equiprobable branch per distinct loser set.
+    equiprobable branch per distinct loser set.  The recursion runs in
+    integers times ``lcm(1..n) ** m``, which clears every such division (see
+    :func:`policy_values_scaled`), and divides once at the root.
     """
     key = ("hat", g.describe())
     cache = structure._value_cache
     if key in cache:
         return cache[key]
     n, m = structure.n, structure.m
-    row = g.score_row(m)
+    int_row, denom = g.integer_row(m)
+    scale = math.lcm(*range(1, n + 1)) ** m
     ranks = structure.profile.rank_rows()
-    memo: dict[int, tuple[Fraction, ...]] = {}
+    zero = (0,) * n
+    memo: dict[int, tuple[int, ...]] = {}
 
-    def value(node) -> tuple[Fraction, ...]:
+    def value(node) -> tuple[int, ...]:
         if node is STOP:
-            return (Fraction(0),) * n
+            return zero
         got = memo.get(id(node))
         if got is not None:
             return got
         groups = node.contenders()
-        stage = [Fraction(0)] * n
+        stage = [0] * n
         for agent in node.reporters:
             obj = node.demands[agent]
-            stage[agent - 1] = Fraction(row[ranks[agent - 1][obj]], len(groups[obj]))
-        out = node.out_degree
-        acc = [Fraction(0)] * n
+            stage[agent - 1] = int_row[ranks[agent - 1][obj]] * scale // len(groups[obj])
+        acc = zero
         for _, target in node.edges:
-            child = value(target)
-            for i in range(n):
-                acc[i] += child[i]
-        result = tuple(stage[i] + acc[i] / out for i in range(n))
+            acc = tuple(map(add, acc, value(target)))
+        out = node.out_degree
+        result = tuple(s + a // out for s, a in zip(stage, acc))
         memo[id(node)] = result
         return result
 
-    result = value(structure.root)
+    result = tuple(Fraction(v, scale * denom) for v in value(structure.root))
+    del value  # it refers to itself; breaking that cycle frees the memo now, not at a collection
     cache[key] = result
     return result
 
@@ -340,41 +345,38 @@ def guaranteed_utilities(structure: AllocationStructure, g: ScoringSpec) -> tupl
     """Per-agent utility guaranteed regardless of lottery outcomes.
 
     Minimum over branches; a branch adds the agent's banked score only when
-    she reported and is not among that branch's losers.
+    she reported and is not among that branch's losers.  The recursion runs
+    on the integer score row and divides by its denominator at the root.
     """
     key = ("under", g.describe())
     cache = structure._value_cache
     if key in cache:
         return cache[key]
     n, m = structure.n, structure.m
-    row = g.score_row(m)
+    int_row, denom = g.integer_row(m)
     ranks = structure.profile.rank_rows()
-    memo: dict[int, tuple[Fraction, ...]] = {}
+    zero = (0,) * n
+    memo: dict[int, tuple[int, ...]] = {}
 
-    def value(node) -> tuple[Fraction, ...]:
+    def value(node) -> tuple[int, ...]:
         if node is STOP:
-            return (Fraction(0),) * n
+            return zero
         got = memo.get(id(node))
         if got is not None:
             return got
-        gains = [Fraction(0)] * n
+        gains = [0] * n
         for agent in node.reporters:
-            obj = node.demands[agent]
-            gains[agent - 1] = row[ranks[agent - 1][obj]]
-        best: list[Fraction | None] = [None] * n
+            gains[agent - 1] = int_row[ranks[agent - 1][node.demands[agent]]]
+        best = None
         for losers, target in node.edges:
-            child = value(target)
-            for i in range(n):
-                v = child[i]
-                if (i + 1) in node.reporters and (i + 1) not in losers:
-                    v = v + gains[i]
-                if best[i] is None or v < best[i]:
-                    best[i] = v
-        result = tuple(best)  # every non-Stop node has at least one edge
-        memo[id(node)] = result
-        return result
+            won = [0 if i + 1 in losers else gain for i, gain in enumerate(gains)]
+            branch = tuple(map(add, won, value(target)))
+            best = branch if best is None else tuple(map(min, best, branch))
+        memo[id(node)] = best  # every non-Stop node has at least one edge
+        return best
 
-    result = value(structure.root)
+    result = tuple(Fraction(v, denom) for v in value(structure.root))
+    del value  # it refers to itself; breaking that cycle frees the memo now, not at a collection
     cache[key] = result
     return result
 
@@ -558,4 +560,6 @@ def policy_values_scaled(
         memo[key] = result
         return result
 
-    return value((1 << (m + 1)) - 2, policy.initial_state())
+    result = value((1 << (m + 1)) - 2, policy.initial_state())
+    del value  # it refers to itself; breaking that cycle frees the memo now, not at a collection
+    return result

@@ -17,7 +17,8 @@ Everything here is exact.  Which code serves which value:
   ``sequential_values_scaled`` for a turn sequence and
   ``policy_values_scaled`` for ``loser`` and custom policies;
 * single-profile values (:func:`profile_utilities`) build the allocation
-  structure and run its two ``Fraction`` recursions.
+  structure and run its two recursions, in integers divided once at the
+  root.
 
 One pass per ``(policy, scoring, m, n)`` collects every statistic any
 criterion needs as integers times one scale; the pass can be chunked across

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -166,6 +168,29 @@ class TestRecursions:
             lottery_expected_utilities(structure, borda)[4 - 1]
         with pytest.raises(IndexError):
             guaranteed_utilities(structure, borda)[4 - 1]
+
+    def test_no_reference_cycles_left(self, borda):
+        # The memoized recursions must not keep a structure or a memo alive
+        # until the cyclic collector runs: each per-profile command drops them
+        # by reference counting.
+        profile = random_profiles(6, 4, 1, seed=5)[0]
+        orders = tuple(r.order for r in profile.rankings)
+        int_row, _ = borda.integer_row(6)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            structure = build_structure(LoserReporting(), profile)
+            lottery_expected_utilities(structure, borda)
+            guaranteed_utilities(structure, borda)
+            policy_values_scaled(LoserReporting(), orders, int_row, math.lcm(1, 2, 3, 4) ** 6)
+            root = weakref.ref(structure.root)
+            del structure
+            assert root() is None
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_expected_at_least_guaranteed_at_every_node(self, borda):
         # Each node is a valid root for the recursions, so check them all.
