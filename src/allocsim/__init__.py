@@ -28,8 +28,6 @@ from .model import (
     is_convex,
     parse_profile_text,
     parse_scoring_text,
-    rank_of,
-    score,
 )
 from .sequential import (
     Aggregator,
@@ -40,7 +38,6 @@ from .sequential import (
     optimal_sequential,
     realized_utilities,
     simulate_sequential,
-    utility_sequential,
 )
 from .parallel import (
     AllocationStructure,
@@ -73,7 +70,6 @@ from .welfare import (
 from .manipulation import (
     ManipulationProblem,
     Strategy,
-    best,
     better,
     brute_force_manipulation,
     find_successful_strategy,

@@ -10,8 +10,9 @@ that stage.
 The feasibility test stages the objects of a claim schedule: at each round,
 the targets some truthful agent would grab before any non-target, and the
 truthful agents' best non-targets.  A target set is securable exactly when
-the cumulative number of claimed targets stays below the round index, and a
-securing report order is: targets in claim order, then filler objects.
+the cumulative number of claimed targets stays below the round index.  The
+securing report order reads the same schedule: targets in claim order, then
+one taken object per round past ``|target|`` as filler.
 A brute-force search over all well-defined report sequences serves as the
 independent oracle for both the feasibility test and the greedy optimal
 strategy construction.
@@ -29,7 +30,6 @@ from .model import Profile, Ranking, ScoringSpec
 
 __all__ = [
     "better",
-    "best",
     "ManipulationProblem",
     "Strategy",
     "ClaimSchedule",
@@ -57,11 +57,6 @@ def better(ranking: Ranking, candidates: frozenset[int] | set[int], benchmark: f
         return candidates
     bar = min(ranking.rank_of(o) for o in benchmark)
     return frozenset(o for o in candidates if ranking.rank_of(o) < bar)
-
-
-def best(ranking: Ranking, candidates: frozenset[int] | set[int]) -> int:
-    """The ranking's most preferred member of a nonempty set."""
-    return ranking.best_of(candidates)
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,7 @@ def claim_schedule(others: Sequence[Ranking], target: frozenset[int] | set[int])
         in_target = available & target
         out_target = available - target
         claimed = frozenset().union(*(better(r, in_target, out_target) for r in others))
-        taken = frozenset(best(r, out_target) for r in others if out_target)
+        taken = frozenset(r.best_of(out_target) for r in others if out_target)
         stages.append((available, claimed, taken))
         for o in claimed | taken:
             first_stage[o] = k
@@ -140,19 +135,20 @@ def claim_schedule(others: Sequence[Ranking], target: frozenset[int] | set[int])
     return ClaimSchedule(tuple(stages), first_stage)
 
 
-def has_successful_strategy(problem: ManipulationProblem) -> bool:
-    """Whether agent 1 can guarantee receiving every target object.
-
-    True exactly when every round index strictly exceeds the cumulative
-    number of targets claimed so far.
-    """
-    schedule = claim_schedule(problem.others, problem.target)
+def _securable(schedule: ClaimSchedule) -> bool:
+    """Whether every round index strictly exceeds the cumulative number of
+    targets claimed so far."""
     cumulative = 0
     for k, (_, claimed, _) in enumerate(schedule.stages, start=1):
         cumulative += len(claimed)
         if cumulative >= k:
             return False
     return True
+
+
+def has_successful_strategy(problem: ManipulationProblem) -> bool:
+    """Whether agent 1 can guarantee receiving every target object."""
+    return _securable(claim_schedule(problem.others, problem.target))
 
 
 def _pick(pool: frozenset[int], rng: random.Random | None) -> int:
@@ -166,35 +162,18 @@ def find_successful_strategy(
 ) -> Strategy | None:
     """A report sequence securing the whole target set, or None.
 
-    Targets are reported first, in claim order; once past ``|target|`` rounds
-    the sequence is padded with one taken object per round so that play runs
-    to exhaustion.  ``rng`` randomizes the padding pick (default: smallest
-    index).  The result is checked to be well-defined before returning.
+    Reads the claim schedule: the targets first, in claim order; then, for
+    each round past ``|target|``, one of that round's taken objects, so that
+    play runs to exhaustion.  ``rng`` randomizes the padding pick (default:
+    smallest index).  The result is checked to be well-defined before
+    returning.
     """
-    target = problem.target
-    m = problem.m
-    available = frozenset(range(1, m + 1))
-    remaining_target = target
-    size = 0
-    head: list[int] = []
-    tail: list[int] = []
-    k = 0
-    while available:
-        k += 1
-        out_target = available - remaining_target
-        claimed = frozenset().union(
-            *(better(r, remaining_target, out_target) for r in problem.others)
-        )
-        size += len(claimed)
-        if size >= k:
-            return None
-        head.extend(sorted(claimed))
-        taken = frozenset(best(r, out_target) for r in problem.others if out_target)
-        if k > len(target) and taken:
-            tail.append(_pick(taken, rng))
-        available = available - claimed - taken
-        remaining_target = remaining_target - claimed
-    strategy = Strategy(tuple(head) + tuple(tail))
+    schedule = claim_schedule(problem.others, problem.target)
+    if not _securable(schedule):
+        return None
+    head = [o for _, claimed, _ in schedule.stages for o in sorted(claimed)]
+    tail = [_pick(taken, rng) for _, _, taken in schedule.stages[len(problem.target):] if taken]
+    strategy = Strategy(tuple(head + tail))
     _simulate_reports(strategy, problem.others)  # surfaces ill-defined completions
     return strategy
 

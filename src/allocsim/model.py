@@ -27,8 +27,6 @@ __all__ = [
     "Profile",
     "ScoringSpec",
     "ProfileStream",
-    "rank_of",
-    "score",
     "is_convex",
     "enumerate_profiles",
     "identity_ranking",
@@ -128,11 +126,6 @@ class Profile:
         return tuple(r._rank for r in self.rankings)
 
 
-def rank_of(ranking: Ranking, o: int) -> int:
-    """Rank of object ``o`` under ``ranking`` (1 = best)."""
-    return ranking.rank_of(o)
-
-
 @dataclass(frozen=True)
 class ScoringSpec:
     """A positive, non-increasing map from rank to score.
@@ -199,11 +192,6 @@ class ScoringSpec:
         if self.kind == "custom":
             return "custom(" + " ".join(str(v) for v in self.table) + ")"
         return self.kind
-
-
-def score(g: ScoringSpec, k: int, m: int) -> Fraction:
-    """Score assigned by ``g`` to rank ``k`` out of ``m``."""
-    return g.score(k, m)
 
 
 def is_convex(g: ScoringSpec, m: int) -> bool:

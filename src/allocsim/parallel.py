@@ -240,9 +240,6 @@ class AllocationStructure:
     policy: ParallelPolicy
     profile: Profile
 
-    def __post_init__(self):
-        self._value_cache: dict = {}
-
     @property
     def n(self) -> int:
         return self.profile.n
@@ -257,20 +254,21 @@ def build_structure(policy: ParallelPolicy, profile: Profile) -> AllocationStruc
 
     Nodes are merged when they share the remaining set, the reporter set and
     the policy's own view of the history; truthful demands are determined by
-    the first two plus the fixed profile.
+    the first two plus the fixed profile.  Every stage must have a reporter,
+    so every edge removes at least one object and the structure is acyclic.
     """
     n, m = profile.n, profile.m
     rankings = profile.rankings
     memo: dict = {}
     order: list[DemandSituation] = []
 
-    def visit(remaining: frozenset[int], state, depth: int) -> DemandSituation:
+    def visit(remaining: frozenset[int], state) -> DemandSituation:
         key = (remaining, state)
         if key in memo:
             return memo[key]
-        if depth > m:
-            raise PolicyViolationError("no progress after as many stages as objects")
         reporters = policy.reporters(state, n)
+        if not reporters:
+            raise PolicyViolationError("a stage with no reporters removes no object")
         demands = {i: rankings[i - 1].best_of(remaining) for i in sorted(reporters)}
         node = DemandSituation(remaining=remaining, reporters=reporters, demands=demands)
         memo[key] = node
@@ -283,7 +281,7 @@ def build_structure(policy: ParallelPolicy, profile: Profile) -> AllocationStruc
                 a for (_, agents), w in zip(contested, winners) for a in agents if a != w
             )
             if next_remaining:
-                target = visit(next_remaining, policy.advance(state, reporters, losers), depth + 1)
+                target = visit(next_remaining, policy.advance(state, reporters, losers))
             else:
                 target = STOP
             edges.append((losers, target))
@@ -291,7 +289,7 @@ def build_structure(policy: ParallelPolicy, profile: Profile) -> AllocationStruc
         order.append(node)
         return node
 
-    root = visit(frozenset(range(1, m + 1)), policy.initial_state(), 1)
+    root = visit(frozenset(range(1, m + 1)), policy.initial_state())
     del visit  # it refers to itself; breaking that cycle frees the memo now, not at a collection
     return AllocationStructure(root=root, nodes=tuple(order), policy=policy, profile=profile)
 
@@ -305,10 +303,6 @@ def lottery_expected_utilities(structure: AllocationStructure, g: ScoringSpec) -
     integers times ``lcm(1..n) ** m``, which clears every such division (see
     :func:`policy_values_scaled`), and divides once at the root.
     """
-    key = ("hat", g.describe())
-    cache = structure._value_cache
-    if key in cache:
-        return cache[key]
     n, m = structure.n, structure.m
     int_row, denom = g.integer_row(m)
     scale = math.lcm(*range(1, n + 1)) ** m
@@ -337,7 +331,6 @@ def lottery_expected_utilities(structure: AllocationStructure, g: ScoringSpec) -
 
     result = tuple(Fraction(v, scale * denom) for v in value(structure.root))
     del value  # it refers to itself; breaking that cycle frees the memo now, not at a collection
-    cache[key] = result
     return result
 
 
@@ -348,10 +341,6 @@ def guaranteed_utilities(structure: AllocationStructure, g: ScoringSpec) -> tupl
     she reported and is not among that branch's losers.  The recursion runs
     on the integer score row and divides by its denominator at the root.
     """
-    key = ("under", g.describe())
-    cache = structure._value_cache
-    if key in cache:
-        return cache[key]
     n, m = structure.n, structure.m
     int_row, denom = g.integer_row(m)
     ranks = structure.profile.rank_rows()
@@ -377,7 +366,6 @@ def guaranteed_utilities(structure: AllocationStructure, g: ScoringSpec) -> tupl
 
     result = tuple(Fraction(v, denom) for v in value(structure.root))
     del value  # it refers to itself; breaking that cycle frees the memo now, not at a collection
-    cache[key] = result
     return result
 
 

@@ -1,17 +1,14 @@
 """Sequential picking protocol: truthful simulation, realized and expected
 utilities, expected social welfare, and exhaustive optimal-policy search.
 
-Expected utilities have two routes that must agree exactly:
-
-* ``enumerate`` averages realized utilities over the full profile stream.
-* ``positions`` evaluates the same rational number with a per-rank dynamic
-  program, using the fact that from one agent's point of view every pick by
-  another agent removes a uniformly random remaining object while her own
-  picks remove her best remaining one.  This makes the expectation a function
-  of the set of steps at which the agent picks, and is what makes exhaustive
-  policy search affordable.
-
-The test suite pins the two routes to each other; the search uses the fast one.
+Expected utilities come from one route, a per-rank dynamic program over the
+steps at which an agent picks: from one agent's point of view every pick by
+another agent removes a uniformly random remaining object, while her own
+picks remove her best remaining one.  This makes the expectation a function
+of the set of steps at which the agent picks, and is what makes exhaustive
+policy search affordable.  The test suite pins it, exactly, to an
+independent per-profile pass over the same profile stream
+(``profile_aggregates`` of the turn sequence as a parallel policy).
 """
 
 from __future__ import annotations
@@ -23,14 +20,13 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
-from .model import Profile, ScoringSpec, enumerate_profiles
+from .model import Profile, ScoringSpec
 
 __all__ = [
     "Aggregator",
     "SequentialPolicy",
     "SequentialHistory",
     "simulate_sequential",
-    "utility_sequential",
     "realized_utilities",
     "expected_utility_sequential",
     "expected_welfare_sequential",
@@ -146,12 +142,6 @@ def realized_utilities(pi: SequentialPolicy, profile: Profile, g: ScoringSpec) -
     return tuple(totals)
 
 
-def utility_sequential(pi: SequentialPolicy, profile: Profile, g: ScoringSpec, agent: int) -> Fraction:
-    if not 1 <= agent <= profile.n:
-        raise ValueError(f"agent {agent} out of range 1..{profile.n}")
-    return realized_utilities(pi, profile, g)[agent - 1]
-
-
 # ---------------------------------------------------------------------------
 # Expected utilities
 
@@ -199,32 +189,18 @@ def expected_utility_sequential(
     g: ScoringSpec,
     agent: int,
     n: int | None = None,
-    method: str = "positions",
-    reduce_symmetry: bool = True,
 ) -> Fraction:
-    """Expected utility of ``agent`` under full independence (exact rational).
-
-    ``method='positions'`` runs the dynamic program; ``method='enumerate'``
-    averages over :func:`enumerate_profiles`.  Both give the same number.
-    """
+    """Expected utility of ``agent`` under full independence (exact rational)."""
     if n is None:
         n = pi.max_agent
     if n < pi.max_agent:
         raise ValueError(f"policy names agent {pi.max_agent} but n={n}")
     if not 1 <= agent <= n:
         raise ValueError(f"agent {agent} out of range 1..{n}")
-    if method == "positions":
-        picks = pi.positions(agent)
-        if not picks:
-            return Fraction(0)
-        return _expected_score_for_positions(pi.m, g.score_row(pi.m), picks)
-    if method != "enumerate":
-        raise ValueError(f"unknown method {method!r}")
-    stream = enumerate_profiles(pi.m, n, reduce_symmetry)
-    total = Fraction(0)
-    for profile, weight in stream:
-        total += weight * utility_sequential(pi, profile, g, agent)
-    return total / stream.total_weight
+    picks = pi.positions(agent)
+    if not picks:
+        return Fraction(0)
+    return _expected_score_for_positions(pi.m, g.score_row(pi.m), picks)
 
 
 def expected_welfare_sequential(
@@ -232,12 +208,11 @@ def expected_welfare_sequential(
     g: ScoringSpec,
     aggregator: Aggregator,
     n: int | None = None,
-    method: str = "positions",
 ) -> Fraction:
     """Aggregate of the n expected utilities."""
     if n is None:
         n = pi.max_agent
-    values = [expected_utility_sequential(pi, g, i, n=n, method=method) for i in range(1, n + 1)]
+    values = [expected_utility_sequential(pi, g, i, n=n) for i in range(1, n + 1)]
     return aggregator.apply(values)
 
 

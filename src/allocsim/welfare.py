@@ -163,7 +163,12 @@ class ProfileAggregates:
 
 
 def _policy_token(policy: ParallelPolicy):
-    """Picklable description of a policy, or None when there is none."""
+    """Picklable description of a built-in policy, or None for a custom one.
+
+    It also decides which passes are cached and pooled: a ``CustomPolicy``
+    may wrap any callable, a lambda say, which can be neither pickled for a
+    worker nor compared by value for a cache key.
+    """
     if isinstance(policy, AllReporting):
         return "all"
     if isinstance(policy, LoserReporting):
@@ -171,19 +176,6 @@ def _policy_token(policy: ParallelPolicy):
     if isinstance(policy, FromSequential):
         return "seq:" + policy.policy.literal()
     return None
-
-
-def _scoring_token(g: ScoringSpec):
-    if g.kind == "custom":
-        return ("custom", tuple(str(v) for v in g.table))
-    return (g.kind, None)
-
-
-def _scoring_from_token(token) -> ScoringSpec:
-    kind, table = token
-    if kind == "custom":
-        return ScoringSpec.custom([Fraction(v) for v in table])
-    return ScoringSpec(kind)
 
 
 def _chunk_stats(orders_iter, evaluate, n: int, scale: int):
@@ -216,9 +208,8 @@ def _chunk_stats(orders_iter, evaluate, n: int, scale: int):
 
 def _compute_chunk(task):
     """Worker entry point: evaluate one stream chunk described by a task tuple."""
-    m, n, policy_token, scoring_token, reduce_symmetry, lo, hi = task
+    m, n, policy_token, g, reduce_symmetry, lo, hi = task
     policy = parse_policy(policy_token)
-    g = _scoring_from_token(scoring_token)
     stream = ProfileStream(m, n, reduce_symmetry, lo=lo, hi=hi)
     return _stats_for_chunk(stream.iter_order_rows(), policy, g, m, n)
 
@@ -312,15 +303,13 @@ def profile_aggregates(
     token = _policy_token(policy)
     cache_key = None
     if token is not None:
-        cache_key = (m, n, token, _scoring_token(g), reduce_symmetry)
+        cache_key = (m, n, token, g, reduce_symmetry)
         cached = _aggregate_cache.get(cache_key)
         if cached is not None:
             return cached
     if workers > 1 and token is not None and stream.count > 4 * workers:
         chunks = stream.partition(workers * 4)
-        tasks = [
-            (m, n, token, _scoring_token(g), reduce_symmetry, c.lo, c.hi) for c in chunks
-        ]
+        tasks = [(m, n, token, g, reduce_symmetry, c.lo, c.hi) for c in chunks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_compute_chunk, tasks))
         result = _merge_stats(parts)

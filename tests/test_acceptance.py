@@ -160,11 +160,11 @@ def test_criterion_01_sequential_worked_example():
     assert realized_utilities(PI, EXAMPLE, BORDA) == (5, 9, 7)
     assert realized_utilities(PI, EXAMPLE, LEX) == (16, 24, 12)
     # expected utilities by explicit enumeration (14400 reduced profiles)
-    enum_borda = [
-        expected_utility_sequential(PI, BORDA, i, n=3, method="enumerate") for i in (1, 2, 3)
-    ]
-    assert enum_borda == [5, Fraction(36, 5), Fraction(15, 2)]
-    enum_lex = [expected_utility_sequential(PI, LEX, i, n=3, method="enumerate") for i in (1, 2, 3)]
+    enum_borda = profile_aggregates(FromSequential(PI), BORDA, 5, 3).expected("u")
+    assert enum_borda == (5, Fraction(36, 5), Fraction(15, 2))
+    assert enum_borda == tuple(expected_utility_sequential(PI, BORDA, i, n=3) for i in (1, 2, 3))
+    enum_lex = profile_aggregates(FromSequential(PI), LEX, 5, 3).expected("u")
+    assert enum_lex == tuple(expected_utility_sequential(PI, LEX, i, n=3) for i in (1, 2, 3))
     assert enum_lex[0] == 16
     assert abs(enum_lex[1] - frac("17.8667")) <= TENTH_MILLI
     assert enum_lex[2] == 17

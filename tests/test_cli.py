@@ -1,13 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from allocsim.cli import fmt_auto, fmt_fixed, fmt_table, round_half_up
 
 EXAMPLE_PROFILE = "1 2 3 4 5\n4 2 5 1 3\n1 3 5 4 2\n"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args, expect_code=0):
@@ -277,3 +280,17 @@ class TestDeterminism:
             for _ in range(3)
         }
         assert len(runs) == 1
+
+
+class TestBenchmarkTracer:
+    def test_tracer_finds_every_name_it_wraps(self):
+        # The benchmark's tracer wraps program functions under the names its
+        # callers resolve; renaming or dropping one of them breaks a traced run.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])}
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", "import tracer; tracer.Tracer(0).install()"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr

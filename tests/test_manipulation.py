@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocsim.errors import BudgetExceededError, StrategyError
 from allocsim.model import Profile, Ranking, ScoringSpec, identity_ranking
 from allocsim.manipulation import (
     ManipulationProblem,
     Strategy,
-    best,
     better,
     brute_force_manipulation,
     find_successful_strategy,
@@ -48,13 +49,13 @@ class TestBetterBest:
             better(AGENT2, {1, 2}, {2, 3})
 
     def test_best(self):
-        assert best(AGENT2, {1, 2, 3, 4, 5}) == 4
-        assert best(AGENT3, {3, 5}) == 3
-        assert best(AGENT2, {3}) == 3
+        assert AGENT2.best_of({1, 2, 3, 4, 5}) == 4
+        assert AGENT3.best_of({3, 5}) == 3
+        assert AGENT2.best_of({3}) == 3
 
     def test_best_empty_rejected(self):
         with pytest.raises(ValueError):
-            best(AGENT2, frozenset())
+            AGENT2.best_of(frozenset())
 
 
 class TestMonotonicity:
@@ -75,10 +76,10 @@ class TestMonotonicity:
             b = frozenset(o for o in d if rng.random() < 0.6)
             assert better(ranking, a, d) <= better(ranking, c, d) <= better(ranking, c, b)
             if a:
-                if best(ranking, c) in a:
-                    assert best(ranking, c) == best(ranking, a)
+                if ranking.best_of(c) in a:
+                    assert ranking.best_of(c) == ranking.best_of(a)
                 else:
-                    assert ranking.prefers(best(ranking, c), best(ranking, a))
+                    assert ranking.prefers(ranking.best_of(c), ranking.best_of(a))
 
 
 class TestClaimSchedule:
@@ -292,6 +293,25 @@ class TestBruteForce:
                 problem = ManipulationProblem((other,), target)
                 exists, _, _ = brute_force_manipulation(problem, borda)
                 assert exists == has_successful_strategy(problem)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_feasibility_and_construction_match_brute_force(self, data):
+        m = data.draw(st.integers(1, 6), label="m")
+        opponents = data.draw(st.integers(1, 3), label="opponents")
+        others = tuple(
+            Ranking(tuple(data.draw(st.permutations(range(1, m + 1))))) for _ in range(opponents)
+        )
+        target = frozenset(data.draw(st.sets(st.integers(1, m)), label="target"))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        problem = ManipulationProblem(others, target)
+        exists, _, _ = brute_force_manipulation(problem, ScoringSpec.borda())
+        assert has_successful_strategy(problem) == exists
+        for rng in (None, random.Random(seed)):
+            strategy = find_successful_strategy(problem, rng)
+            assert (strategy is None) == (not exists)
+            if strategy is not None:
+                assert target <= secured_objects(strategy, others)
 
     def test_size_limit(self, borda):
         others = (identity_ranking(7),)

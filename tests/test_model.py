@@ -14,27 +14,25 @@ from allocsim.model import (
     is_convex,
     parse_profile_text,
     parse_scoring_text,
-    rank_of,
-    score,
 )
 
 
 class TestRanking:
     def test_rank_of_identity(self):
         r = identity_ranking(5)
-        assert rank_of(r, 3) == 3
+        assert r.rank_of(3) == 3
 
     def test_rank_of_example_agent2(self):
         r = Ranking((4, 2, 5, 1, 3))
-        assert rank_of(r, 2) == 2
-        assert rank_of(r, 3) == 5
+        assert r.rank_of(2) == 2
+        assert r.rank_of(3) == 5
 
     def test_rank_of_out_of_range(self):
         r = identity_ranking(3)
         with pytest.raises(ValueError):
-            rank_of(r, 0)
+            r.rank_of(0)
         with pytest.raises(ValueError):
-            rank_of(r, 4)
+            r.rank_of(4)
 
     def test_not_a_permutation(self):
         with pytest.raises(ValueError):
@@ -58,26 +56,26 @@ class TestRanking:
 
 class TestScoring:
     def test_borda_top(self):
-        assert score(ScoringSpec.borda(), 1, 5) == 5
+        assert ScoringSpec.borda().score(1, 5) == 5
 
     def test_lex_bottom(self):
-        assert score(ScoringSpec.lexicographic(), 5, 5) == 1
+        assert ScoringSpec.lexicographic().score(5, 5) == 1
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_borda_last_rank_is_one(self, m):
-        assert score(ScoringSpec.borda(), m, m) == 1
+        assert ScoringSpec.borda().score(m, m) == 1
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
-            score(ScoringSpec.borda(), 0, 4)
+            ScoringSpec.borda().score(0, 4)
         with pytest.raises(ValueError):
-            score(ScoringSpec.borda(), 5, 4)
+            ScoringSpec.borda().score(5, 4)
 
     @pytest.mark.parametrize("m", range(1, 11))
     @pytest.mark.parametrize("kind", ["borda", "lex"])
     def test_non_increasing(self, kind, m):
         g = ScoringSpec(kind)
-        row = [score(g, k, m) for k in range(1, m + 1)]
+        row = [g.score(k, m) for k in range(1, m + 1)]
         assert all(a >= b for a, b in zip(row, row[1:]))
         assert all(v > 0 for v in row)
 
@@ -107,7 +105,7 @@ class TestScoring:
     def test_custom_length_must_match_m(self):
         g = ScoringSpec.custom([3, 2, 1])
         with pytest.raises(ValueError):
-            score(g, 1, 4)
+            g.score(1, 4)
 
     def test_integer_row_clears_denominators(self):
         g = ScoringSpec.custom([Fraction(3, 2), Fraction(2, 3), Fraction(1, 6)])

@@ -18,6 +18,7 @@ from allocsim.parallel import (
     CustomPolicy,
     FromSequential,
     LoserReporting,
+    ParallelPolicy,
     all_reporting_values_scaled,
     build_structure,
     enumerate_outcomes,
@@ -33,6 +34,22 @@ from allocsim.sequential import SequentialPolicy, realized_utilities
 
 def identical_profile(m, n):
     return Profile(tuple(identity_ranking(m) for _ in range(n)))
+
+
+class NoReporters(ParallelPolicy):
+    """Names no reporter; its state stays put or grows by one every stage."""
+
+    def __init__(self, grow):
+        self.grow = grow
+
+    def initial_state(self):
+        return 0
+
+    def reporters(self, state, n):
+        return frozenset()
+
+    def advance(self, state, reporters, losers):
+        return state + 1 if self.grow else state
 
 
 def random_profiles(m, n, count, seed):
@@ -132,6 +149,11 @@ class TestBuildStructure:
     def test_exhausted_sequence_is_violation(self, example_profile):
         with pytest.raises(PolicyViolationError):
             build_structure(FromSequential(SequentialPolicy((1, 2))), example_profile)
+
+    @pytest.mark.parametrize("grow", [False, True], ids=["constant-state", "growing-state"])
+    def test_stage_without_reporters_is_violation(self, grow):
+        with pytest.raises(PolicyViolationError, match="no reporters"):
+            build_structure(NoReporters(grow), identical_profile(3, 2))
 
 
 class TestRecursions:

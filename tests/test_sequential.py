@@ -6,6 +6,7 @@ import pytest
 
 from allocsim.errors import BudgetExceededError
 from allocsim.model import Profile, Ranking, ScoringSpec, identity_ranking
+from allocsim.parallel import FromSequential
 from allocsim.sequential import (
     Aggregator,
     SequentialPolicy,
@@ -16,8 +17,8 @@ from allocsim.sequential import (
     optimal_sequential,
     realized_utilities,
     simulate_sequential,
-    utility_sequential,
 )
+from allocsim.welfare import profile_aggregates
 
 PI = SequentialPolicy.from_literal("seq:12332")
 
@@ -83,7 +84,7 @@ class TestRealizedUtility:
 
     def test_single_agent_total(self, borda):
         profile = Profile((Ranking((2, 1)),))
-        assert utility_sequential(SequentialPolicy((1, 1)), profile, borda, 1) == 3
+        assert realized_utilities(SequentialPolicy((1, 1)), profile, borda)[0] == 3
 
 
 class TestExpectedUtility:
@@ -104,7 +105,11 @@ class TestExpectedUtility:
 
     @pytest.mark.parametrize("method", ["positions", "enumerate"])
     def test_methods_agree_on_worked_example(self, borda, method):
-        assert expected_utility_sequential(PI, borda, 2, n=3, method=method) == Fraction(36, 5)
+        if method == "positions":
+            value = expected_utility_sequential(PI, borda, 2, n=3)
+        else:
+            value = profile_aggregates(FromSequential(PI), borda, 5, 3).expected("u")[1]
+        assert value == Fraction(36, 5)
 
     @pytest.mark.parametrize("kind", ["borda", "lex"])
     def test_positions_equals_enumeration_exactly(self, kind):
@@ -112,23 +117,17 @@ class TestExpectedUtility:
         for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
             for turns in itertools.product(range(1, n + 1), repeat=m):
                 pi = SequentialPolicy(turns)
+                slow = profile_aggregates(FromSequential(pi), g, m, n).expected("u")
                 for agent in range(1, n + 1):
-                    fast = expected_utility_sequential(pi, g, agent, n=n)
-                    slow = expected_utility_sequential(pi, g, agent, n=n, method="enumerate")
-                    assert fast == slow
+                    assert expected_utility_sequential(pi, g, agent, n=n) == slow[agent - 1]
 
     def test_symmetry_reduction_is_exact(self, borda):
         for m, n in [(2, 2), (3, 2), (3, 3)]:
             for turns in [(1,) * m, tuple((k % n) + 1 for k in range(m))]:
-                pi = SequentialPolicy(turns)
-                for agent in range(1, n + 1):
-                    reduced = expected_utility_sequential(
-                        pi, borda, agent, n=n, method="enumerate", reduce_symmetry=True
-                    )
-                    full = expected_utility_sequential(
-                        pi, borda, agent, n=n, method="enumerate", reduce_symmetry=False
-                    )
-                    assert reduced == full
+                policy = FromSequential(SequentialPolicy(turns))
+                reduced = profile_aggregates(policy, borda, m, n, reduce_symmetry=True)
+                full = profile_aggregates(policy, borda, m, n, reduce_symmetry=False)
+                assert reduced.expected("u") == full.expected("u")
 
 
 class TestExpectedWelfare:

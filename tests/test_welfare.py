@@ -405,7 +405,8 @@ class TestPolicyKernelPass:
         with pytest.raises(PolicyViolationError):
             profile_aggregates(CustomPolicy(fn), borda, 3, 3)
 
-    def test_loser_pool_equals_serial(self, borda, monkeypatch):
+    @pytest.mark.parametrize("g", [ScoringSpec.borda(), custom_row(4)], ids=["borda", "custom_row(4)"])
+    def test_loser_pool_equals_serial(self, g, monkeypatch):
         pools = []
 
         class CountingPool(welfare.ProcessPoolExecutor):
@@ -416,8 +417,8 @@ class TestPolicyKernelPass:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(welfare, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(welfare, "_aggregate_cache", {})
-        serial = profile_aggregates(LoserReporting(), borda, 4, 3, jobs=1)
+        serial = profile_aggregates(LoserReporting(), g, 4, 3, jobs=1)
         monkeypatch.setattr(welfare, "_aggregate_cache", {})
-        pooled = profile_aggregates(LoserReporting(), borda, 4, 3, jobs=2)
+        pooled = profile_aggregates(LoserReporting(), g, 4, 3, jobs=2)
         assert pools == [2]
         assert pooled == serial
