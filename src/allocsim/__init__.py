@@ -50,8 +50,6 @@ from .parallel import (
     STOP,
     build_structure,
     enumerate_outcomes,
-    guaranteed_utilities,
-    lottery_expected_utilities,
     next_reporters,
     parse_policy,
 )

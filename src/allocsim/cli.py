@@ -25,8 +25,8 @@ from .parallel import (
     STOP,
     FromSequential,
     build_structure,
-    guaranteed_utilities,
-    lottery_expected_utilities,
+    guaranteed_utilities,  # unused here; bench/tracer.py wraps it in this module
+    lottery_expected_utilities,  # unused here; bench/tracer.py wraps it in this module
     parse_policy,
 )
 from .sequential import Aggregator, optimal_sequential, simulate_sequential
@@ -34,7 +34,7 @@ from .manipulation import (
     ManipulationProblem,
     brute_force_manipulation,
     find_successful_strategy,
-    has_successful_strategy,
+    has_successful_strategy,  # unused here; bench/tracer.py wraps it in this module
     optimal_pessimistic_strategy,
 )
 from .welfare import (
@@ -42,6 +42,7 @@ from .welfare import (
     optimal_sequential_expected_min,
     parse_criterion,
     per_profile_welfare,
+    profile_utilities,
     reproduce_table,
     resolve_budget_units,
 )
@@ -206,16 +207,14 @@ def simulate(policy_literal, profile_path, scoring_literal, fmt, output):
     policy = parse_policy(policy_literal)
     g = _load_scoring(scoring_literal)
     _warn_small_m(profile.m, profile.n)
-    structure = build_structure(policy, profile)
-    expected = lottery_expected_utilities(structure, g)
-    guaranteed = guaranteed_utilities(structure, g)
-    records = _stage_records(structure)
+    expected, guaranteed = profile_utilities(policy, profile, g)
     if fmt == "csv":
         lines = ["agent,expected,guaranteed"]
         for i in range(profile.n):
             lines.append(f"{i + 1},{fmt_auto(expected[i])},{fmt_auto(guaranteed[i])}")
         _emit("\n".join(lines) + "\n", output)
         return
+    records = _stage_records(build_structure(policy, profile))
     if fmt == "json":
         payload = {
             "policy": policy.describe(),
@@ -438,8 +437,8 @@ def manipulate(others_path, target_literal, optimal, profile_path, scoring_liter
         others = _load_others(others_path)
         target = frozenset(int(tok) for tok in target_literal.split(",") if tok.strip())
         problem = ManipulationProblem(others, target)
-        feasible = has_successful_strategy(problem)
-        strategy = find_successful_strategy(problem, rng) if feasible else None
+        strategy = find_successful_strategy(problem, rng)
+        feasible = strategy is not None
         m = others[0].m
         ranking = Ranking(tuple(range(1, m + 1)))
         row = g.score_row(m)

@@ -205,20 +205,8 @@ def is_convex(g: ScoringSpec, m: int) -> bool:
 # Profile enumeration
 
 
-def _perm_by_index(m: int, index: int) -> tuple[int, ...]:
-    """The ``index``-th permutation of ``1..m`` in lexicographic order."""
-    items = list(range(1, m + 1))
-    out = []
-    for pos in range(m, 0, -1):
-        f = math.factorial(pos - 1)
-        q, index = divmod(index, f)
-        out.append(items.pop(q))
-    return tuple(out)
-
-
 _PERM_CACHE_LIMIT = 8
 _perm_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
-_rank_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
 def _all_perms(m: int) -> tuple[tuple[int, ...], ...]:
@@ -229,22 +217,6 @@ def _all_perms(m: int) -> tuple[tuple[int, ...], ...]:
     if m <= _PERM_CACHE_LIMIT:
         _perm_tables[m] = perms
     return perms
-
-
-def _all_rank_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """Rank lookup rows aligned with :func:`_all_perms` (cached for small m)."""
-    if m in _rank_tables:
-        return _rank_tables[m]
-    rows = []
-    for perm in _all_perms(m):
-        rank = [0] * (m + 1)
-        for pos, o in enumerate(perm, start=1):
-            rank[o] = pos
-        rows.append(tuple(rank))
-    rows = tuple(rows)
-    if m <= _PERM_CACHE_LIMIT:
-        _rank_tables[m] = rows
-    return rows
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,13 @@ Two per-agent values are computed at every node:
 For a policy embedding a turn sequence there is a single run and both equal
 the realized sequential utility.
 
-The structure and its recursions serve the per-profile commands and, with
-:func:`enumerate_outcomes`, are the reference the tests hold the integer
-kernels at the end of this module to.  Profile-space passes use those
-kernels: ``all_reporting_values_scaled`` for all-reporting,
+Every value the package reports comes from the integer kernels at the end
+of this module: ``all_reporting_values_scaled`` for all-reporting,
 ``sequential_values_scaled`` for a turn sequence and
-``policy_values_scaled`` for any other policy.
+``policy_values_scaled`` for any other policy, over a profile stream or over
+one profile.  The structure draws ``simulate``'s stage trace.  Its two
+recursions are, with :func:`enumerate_outcomes`, the reference the tests
+hold the kernels to; they are not exported from the package.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ __all__ = [
     "STOP",
     "AllocationStructure",
     "build_structure",
-    "lottery_expected_utilities",
-    "guaranteed_utilities",
     "enumerate_outcomes",
 ]
 
@@ -133,7 +132,10 @@ class FromSequential(ParallelPolicy):
             raise PolicyViolationError(
                 f"turn sequence exhausted after {self.policy.m} stages with objects remaining"
             )
-        return frozenset((self.policy.turns[state],))
+        agent = self.policy.turns[state]
+        if agent > n:
+            raise PolicyViolationError(f"turn {state + 1} names agent {agent} but there are {n} agents")
+        return frozenset((agent,))
 
     def advance(self, state, reporters, losers):
         return state + 1
@@ -296,6 +298,7 @@ def build_structure(policy: ParallelPolicy, profile: Profile) -> AllocationStruc
 
 def lottery_expected_utilities(structure: AllocationStructure, g: ScoringSpec) -> tuple[Fraction, ...]:
     """Per-agent expected utility at the root, over all lottery outcomes.
+    The test reference for :func:`policy_values_scaled`; no command uses it.
 
     At each node an agent demanding an object contested by c agents banks
     1/c of its score; the continuation averages the children, counting one
@@ -336,6 +339,7 @@ def lottery_expected_utilities(structure: AllocationStructure, g: ScoringSpec) -
 
 def guaranteed_utilities(structure: AllocationStructure, g: ScoringSpec) -> tuple[Fraction, ...]:
     """Per-agent utility guaranteed regardless of lottery outcomes.
+    The test reference for :func:`policy_values_scaled`; no command uses it.
 
     Minimum over branches; a branch adds the agent's banked score only when
     she reported and is not among that branch's losers.  The recursion runs

@@ -100,9 +100,6 @@ class SequentialHistory:
 
     picks: tuple[tuple[int, int], ...]
 
-    def objects_of(self, agent: int) -> frozenset[int]:
-        return frozenset(o for a, o in self.picks if a == agent)
-
 
 def _check_policy(pi: SequentialPolicy, profile: Profile) -> None:
     if pi.m != profile.m:

@@ -11,14 +11,14 @@ Everything here is exact.  Which code serves which value:
 * criteria that average all-reporting values over profiles (y = u, tables
   1-4) come from a closed-form DP over the remaining ranks
   (:func:`symmetric_aggregates`), without enumerating profiles;
-* every other profile-space value is one pass over the (optionally symmetry
-  reduced) profile stream with an integer per-profile kernel from
-  :mod:`allocsim.parallel`: ``all_reporting_values_scaled`` for ``all``,
-  ``sequential_values_scaled`` for a turn sequence and
-  ``policy_values_scaled`` for ``loser`` and custom policies;
-* single-profile values (:func:`profile_utilities`) build the allocation
-  structure and run its two recursions, in integers divided once at the
-  root.
+* every other value is one pass over a profile stream with an integer
+  per-profile kernel from :mod:`allocsim.parallel`:
+  ``all_reporting_values_scaled`` for ``all``, ``sequential_values_scaled``
+  for a turn sequence and ``policy_values_scaled`` for ``loser`` and custom
+  policies.  A profile-space pass streams one representative per object
+  relabeling; a single profile (:func:`profile_utilities`) is a stream of
+  one item.  Either way one criterion fold turns the pass's statistics into
+  the value.
 
 One pass per ``(policy, scoring, m, n)`` collects every statistic any
 criterion needs as integers times one scale; the pass can be chunked across
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, PolicyViolationError
 from .model import Profile, ProfileStream, ScoringSpec, enumerate_profiles
 from .parallel import (
     AllReporting,
@@ -44,9 +44,9 @@ from .parallel import (
     LoserReporting,
     ParallelPolicy,
     all_reporting_values_scaled,
-    build_structure,
-    guaranteed_utilities,
-    lottery_expected_utilities,
+    build_structure,  # unused here; bench/tracer.py wraps it in this module
+    guaranteed_utilities,  # unused here; bench/tracer.py wraps it in this module
+    lottery_expected_utilities,  # unused here; bench/tracer.py wraps it in this module
     parse_policy,
     policy_values_scaled,
     sequential_values_scaled,
@@ -208,9 +208,9 @@ def _chunk_stats(orders_iter, evaluate, n: int, scale: int):
 
 def _compute_chunk(task):
     """Worker entry point: evaluate one stream chunk described by a task tuple."""
-    m, n, policy_token, g, reduce_symmetry, lo, hi = task
+    m, n, policy_token, g, lo, hi = task
     policy = parse_policy(policy_token)
-    stream = ProfileStream(m, n, reduce_symmetry, lo=lo, hi=hi)
+    stream = ProfileStream(m, n, reduce_symmetry=True, lo=lo, hi=hi)
     return _stats_for_chunk(stream.iter_order_rows(), policy, g, m, n)
 
 
@@ -230,7 +230,9 @@ def _stats_for_chunk(orders_iter, policy, g, m, n):
     if isinstance(policy, FromSequential):
         turns = policy.policy.turns
         if policy.policy.m != m or policy.policy.max_agent > n:
-            raise ValueError("turn sequence does not fit m and n")
+            raise PolicyViolationError(
+                f"turn sequence {policy.policy.literal()} does not fit m={m} objects and n={n} agents"
+            )
 
         def evaluate(orders):
             v = sequential_values_scaled(turns, orders, int_row, 1)
@@ -283,16 +285,16 @@ def profile_aggregates(
     g: ScoringSpec,
     m: int,
     n: int,
-    reduce_symmetry: bool = True,
     jobs: int = 1,
     budget_units: int | None = None,
 ) -> ProfileAggregates:
-    """Exhaustive one-pass statistics for a policy over the profile stream."""
+    """Exhaustive one-pass statistics for a policy over the profile stream,
+    one representative per object relabeling, each weighted by ``m!``."""
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
     workers = worker_count(jobs, os.cpu_count())
     budget = budget_units if budget_units is not None else resolve_budget_units()
-    stream = enumerate_profiles(m, n, reduce_symmetry)
+    stream = enumerate_profiles(m, n, reduce_symmetry=True)
     estimated = stream.count * m
     if estimated > budget:
         raise BudgetExceededError(
@@ -303,13 +305,13 @@ def profile_aggregates(
     token = _policy_token(policy)
     cache_key = None
     if token is not None:
-        cache_key = (m, n, token, g, reduce_symmetry)
+        cache_key = (m, n, token, g)
         cached = _aggregate_cache.get(cache_key)
         if cached is not None:
             return cached
     if workers > 1 and token is not None and stream.count > 4 * workers:
         chunks = stream.partition(workers * 4)
-        tasks = [(m, n, token, g, reduce_symmetry, c.lo, c.hi) for c in chunks]
+        tasks = [(m, n, token, g, c.lo, c.hi) for c in chunks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_compute_chunk, tasks))
         result = _merge_stats(parts)
@@ -427,6 +429,19 @@ def symmetric_aggregates(
 # Criterion evaluation
 
 
+def _fold(criterion: WelfareCriterion, stats: ProfileAggregates) -> Fraction:
+    """A criterion's value from one pass's statistics: the expected-min
+    reading, or the per-agent values over profiles (y) folded over agents
+    (x).  On a one-item stream the mean and the minimum over profiles agree,
+    and ``em-z`` equals ``x = e``."""
+    if criterion.mode == "emin":
+        return stats.expected_min(criterion.z)
+    values = stats.expected(criterion.z) if criterion.y == "u" else stats.minimum(criterion.z)
+    if criterion.x == "u":
+        return sum(values, Fraction(0))
+    return min(values)
+
+
 def agent_value(
     agent: int,
     y: str,
@@ -435,7 +450,6 @@ def agent_value(
     g: ScoringSpec,
     m: int,
     n: int,
-    reduce_symmetry: bool = True,
     jobs: int = 1,
     budget_units: int | None = None,
 ) -> Fraction:
@@ -443,7 +457,7 @@ def agent_value(
     all profiles of her expected (z='u') or guaranteed (z='e') utility."""
     if not 1 <= agent <= n:
         raise ValueError(f"agent {agent} out of range 1..{n}")
-    stats = profile_aggregates(policy, g, m, n, reduce_symmetry, jobs, budget_units)
+    stats = profile_aggregates(policy, g, m, n, jobs, budget_units)
     values = stats.expected(z) if y == "u" else stats.minimum(z)
     return values[agent - 1]
 
@@ -454,18 +468,13 @@ def social_welfare(
     g: ScoringSpec,
     m: int,
     n: int,
-    reduce_symmetry: bool = True,
     jobs: int = 1,
     budget_units: int | None = None,
 ) -> Fraction:
     """Compositional social welfare sw(x, y, z) of a policy."""
     if criterion.mode != "comp":
         raise ValueError("social_welfare expects a compositional criterion")
-    stats = profile_aggregates(policy, g, m, n, reduce_symmetry, jobs, budget_units)
-    values = stats.expected(criterion.z) if criterion.y == "u" else stats.minimum(criterion.z)
-    if criterion.x == "u":
-        return sum(values, Fraction(0))
-    return min(values)
+    return evaluate_criterion(criterion, policy, g, m, n, jobs, budget_units)
 
 
 def expected_min_welfare(
@@ -474,13 +483,11 @@ def expected_min_welfare(
     g: ScoringSpec,
     m: int,
     n: int,
-    reduce_symmetry: bool = True,
     jobs: int = 1,
     budget_units: int | None = None,
 ) -> Fraction:
     """Mean over profiles of the per-profile minimum across agents."""
-    stats = profile_aggregates(policy, g, m, n, reduce_symmetry, jobs, budget_units)
-    return stats.expected_min(z)
+    return evaluate_criterion(WelfareCriterion.expected_min(z), policy, g, m, n, jobs, budget_units)
 
 
 def evaluate_criterion(
@@ -489,21 +496,25 @@ def evaluate_criterion(
     g: ScoringSpec,
     m: int,
     n: int,
-    reduce_symmetry: bool = True,
     jobs: int = 1,
     budget_units: int | None = None,
 ) -> Fraction:
-    if criterion.mode == "comp":
-        return social_welfare(criterion, policy, g, m, n, reduce_symmetry, jobs, budget_units)
-    return expected_min_welfare(criterion.z, policy, g, m, n, reduce_symmetry, jobs, budget_units)
+    return _fold(criterion, profile_aggregates(policy, g, m, n, jobs, budget_units))
+
+
+def _profile_stats(policy: ParallelPolicy, profile: Profile, g: ScoringSpec) -> ProfileAggregates:
+    """The statistics of one profile: a stream of one item through the same
+    kernel, fit check and accumulator as a profile-space pass."""
+    item = [(profile.order_rows(), 1)]
+    return _merge_stats([_stats_for_chunk(item, policy, g, profile.m, profile.n)])
 
 
 def profile_utilities(
     policy: ParallelPolicy, profile: Profile, g: ScoringSpec
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Per-agent (expected, guaranteed) utilities of one profile."""
-    structure = build_structure(policy, profile)
-    return lottery_expected_utilities(structure, g), guaranteed_utilities(structure, g)
+    stats = _profile_stats(policy, profile, g)
+    return stats.expected("u"), stats.expected("e")
 
 
 def per_profile_welfare(
@@ -514,11 +525,7 @@ def per_profile_welfare(
     This is the fixed-profile counterpart of sw(x, y, z); the profile axis is
     pinned to the given profile instead of being aggregated.
     """
-    hat, under = profile_utilities(policy, profile, g)
-    values = hat if z == "u" else under
-    if x == "u":
-        return sum(values, Fraction(0))
-    return min(values)
+    return _fold(WelfareCriterion.compositional(x, "u", z), _profile_stats(policy, profile, g))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from allocsim.model import Profile, Ranking, ScoringSpec
-from allocsim.welfare import BUDGET_ENV_VAR
+from allocsim.model import Profile, Ranking, ScoringSpec, enumerate_profiles
+from allocsim.welfare import BUDGET_ENV_VAR, profile_utilities
 
 # Property tests draw the same examples on every machine and keep no example
 # database between runs.
@@ -45,3 +45,30 @@ def borda() -> ScoringSpec:
 @pytest.fixture
 def lex() -> ScoringSpec:
     return ScoringSpec.lexicographic()
+
+
+@pytest.fixture
+def full_stream_reference():
+    """``reference(policy, g, m, n)[z]`` is ``(mean, minimum, mean_min)``:
+    the per-agent mean and minimum over every profile of the expected
+    (``z = "u"``) or guaranteed (``z = "e"``) utility, and the mean of the
+    per-profile minimum across agents.  It folds :func:`profile_utilities`
+    over the full, unreduced profile stream, so it holds the symmetry-reduced
+    pass to an independent enumeration and accumulation."""
+
+    def reference(policy, g, m, n):
+        rows = [
+            (weight, dict(zip("ue", profile_utilities(policy, profile, g))))
+            for profile, weight in enumerate_profiles(m, n, reduce_symmetry=False)
+        ]
+        total = sum(weight for weight, _ in rows)
+        return {
+            z: (
+                tuple(sum(w * v[z][i] for w, v in rows) / total for i in range(n)),
+                tuple(min(v[z][i] for _, v in rows) for i in range(n)),
+                sum(w * min(v[z]) for w, v in rows) / total,
+            )
+            for z in "ue"
+        }
+
+    return reference

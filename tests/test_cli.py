@@ -6,8 +6,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
-from allocsim.cli import fmt_auto, fmt_fixed, fmt_table, round_half_up
+import allocsim.manipulation as manipulation
+from allocsim.cli import cli, fmt_auto, fmt_fixed, fmt_table, round_half_up
 
 EXAMPLE_PROFILE = "1 2 3 4 5\n4 2 5 1 3\n1 3 5 4 2\n"
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,7 +85,45 @@ class TestSimulate:
         ]
 
 
+def _bad_inputs():
+    """Inputs that must end in a documented exit code.  ``{two}`` is a
+    3-object, 2-agent profile: ``seq:123`` names an agent it lacks, and
+    ``seq:1212`` and ``seq:12`` have the wrong number of turns."""
+    cases = []
+    for policy in ("seq:123", "seq:1212", "seq:12"):
+        for fmt in ("text", "json", "csv"):
+            cases.append(pytest.param(
+                ["simulate", "--policy", policy, "--profile", "{two}", "--format", fmt], 5,
+                id=f"simulate-{policy}-{fmt}",
+            ))
+        cases.append(pytest.param(
+            ["eval", "--profile", "{two}", "--policy", policy], 5, id=f"eval-profile-{policy}"))
+        cases.append(pytest.param(
+            ["eval", "-m", "3", "-n", "2", "--policy", policy], 5, id=f"eval-space-{policy}"))
+    cases += [
+        pytest.param(["simulate", "--policy", "all", "--profile", "{bad}"], 3, id="malformed-profile"),
+        pytest.param(["eval", "-m", "3", "-n", "2", "--policy", "all", "--scoring", "custom:{missing}"], 3,
+                     id="missing-custom-file"),
+        pytest.param(["eval", "-m", "2", "-n", "2", "--policy", "all", "--jobs", "0"], 2, id="jobs-0"),
+    ]
+    return cases
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("args, code", _bad_inputs())
+    def test_bad_input_exits_without_traceback(self, args, code, tmp_path):
+        paths = {"two": tmp_path / "two.txt", "bad": tmp_path / "bad.txt", "missing": tmp_path / "missing.txt"}
+        paths["two"].write_text("1 2 3\n3 2 1\n")
+        paths["bad"].write_text("1 2 3\n1 oops 3\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "allocsim.cli", *(a.format(**paths) for a in args)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode in (2, 3, 4, 5), proc.stderr
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_usage_error_is_2(self, profile_file):
         run_cli("eval", "--policy", "nonsense", "-m", "2", "-n", "2", expect_code=2)
 
@@ -223,6 +263,24 @@ class TestManipulate:
 
     def test_requires_mode(self):
         run_cli("manipulate", expect_code=2)
+
+    def test_target_builds_claim_schedule_once(self, tmp_path, monkeypatch):
+        others = tmp_path / "others.txt"
+        others.write_text("4 2 5 1 3\n1 3 5 4 2\n")
+        calls = []
+        build = manipulation.claim_schedule
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(manipulation, "claim_schedule", counted)
+        for target, feasible in (("2", True), ("2,3", False)):
+            calls.clear()
+            result = CliRunner().invoke(cli, ["manipulate", "--others", str(others), "--target", target])
+            assert result.exit_code == 0, result.output
+            assert json.loads(result.stdout)["feasible"] is feasible
+            assert len(calls) == 1
 
 
 class TestInputsAndOutputs:

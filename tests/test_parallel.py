@@ -30,6 +30,7 @@ from allocsim.parallel import (
     sequential_values_scaled,
 )
 from allocsim.sequential import SequentialPolicy, realized_utilities
+from allocsim.welfare import profile_utilities
 
 
 def identical_profile(m, n):
@@ -149,6 +150,8 @@ class TestBuildStructure:
     def test_exhausted_sequence_is_violation(self, example_profile):
         with pytest.raises(PolicyViolationError):
             build_structure(FromSequential(SequentialPolicy((1, 2))), example_profile)
+        with pytest.raises(PolicyViolationError, match="names agent 4"):
+            build_structure(FromSequential(SequentialPolicy((1, 2, 4, 3, 2))), example_profile)
 
     @pytest.mark.parametrize("grow", [False, True], ids=["constant-state", "growing-state"])
     def test_stage_without_reporters_is_violation(self, grow):
@@ -352,8 +355,9 @@ def rotating_with_losers(n):
 
 
 class TestKernelsProperty:
-    """Every per-profile kernel against the structure recursions, and those
-    against the complete runs of ``enumerate_outcomes``."""
+    """Every per-profile kernel, and the one-item route of
+    ``profile_utilities`` that dispatches to them, against the structure
+    recursions, and those against the complete runs of ``enumerate_outcomes``."""
 
     @settings(max_examples=120)
     @given(data=st.data())
@@ -398,6 +402,7 @@ class TestKernelsProperty:
             kernel_hat, kernel_under = policy_values_scaled(policy, orders, int_row, lottery_scale**m)
             assert exact(kernel_hat, lottery_scale**m) == hat
             assert exact(kernel_under, lottery_scale**m) == under
+            assert profile_utilities(policy, profile, g) == (hat, under)
             if policy in fast:
                 (fast_hat, fast_under), scale = fast[policy]
                 assert exact(fast_hat, scale) == hat

@@ -121,13 +121,14 @@ class TestExpectedUtility:
                 for agent in range(1, n + 1):
                     assert expected_utility_sequential(pi, g, agent, n=n) == slow[agent - 1]
 
-    def test_symmetry_reduction_is_exact(self, borda):
+    def test_symmetry_reduction_is_exact(self, borda, full_stream_reference):
         for m, n in [(2, 2), (3, 2), (3, 3)]:
             for turns in [(1,) * m, tuple((k % n) + 1 for k in range(m))]:
                 policy = FromSequential(SequentialPolicy(turns))
-                reduced = profile_aggregates(policy, borda, m, n, reduce_symmetry=True)
-                full = profile_aggregates(policy, borda, m, n, reduce_symmetry=False)
-                assert reduced.expected("u") == full.expected("u")
+                reduced = profile_aggregates(policy, borda, m, n)
+                full = full_stream_reference(policy, borda, m, n)
+                for z in ("u", "e"):
+                    assert (reduced.expected(z), reduced.minimum(z), reduced.expected_min(z)) == full[z]
 
 
 class TestExpectedWelfare:

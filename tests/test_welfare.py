@@ -126,12 +126,16 @@ class TestExpectedMin:
         policy = FromSequential(SequentialPolicy((1, 2, 2)))
         assert expected_min_welfare("u", policy, borda, 3, 2) == 3
 
-    def test_reduction_is_exact(self, borda):
+    def test_reduction_is_exact(self, borda, full_stream_reference):
         for m, n in [(2, 2), (3, 2), (3, 3)]:
             policy = FromSequential(SequentialPolicy(tuple((k % n) + 1 for k in range(m))))
-            reduced = expected_min_welfare("u", policy, borda, m, n, reduce_symmetry=True)
-            full = expected_min_welfare("u", policy, borda, m, n, reduce_symmetry=False)
-            assert reduced == full
+            full = full_stream_reference(policy, borda, m, n)
+            for z in ("u", "e"):
+                mean, minimum, mean_min = full[z]
+                assert expected_min_welfare(z, policy, borda, m, n) == mean_min
+                for agent in range(1, n + 1):
+                    assert agent_value(agent, "u", z, policy, borda, m, n) == mean[agent - 1]
+                    assert agent_value(agent, "e", z, policy, borda, m, n) == minimum[agent - 1]
 
 
 class TestIdentityInsensitivity:
@@ -247,7 +251,7 @@ class TestQuotientPass:
 class TestSymmetrySoundness:
     @pytest.mark.parametrize("kind", ["borda", "lex"])
     @pytest.mark.parametrize("policy_literal", ["all", "loser", "seq"])
-    def test_reduced_equals_full(self, kind, policy_literal):
+    def test_reduced_equals_full(self, kind, policy_literal, full_stream_reference):
         g = ScoringSpec(kind)
         for m, n in [(2, 2), (3, 2), (3, 3)]:
             if policy_literal == "seq":
@@ -256,12 +260,10 @@ class TestSymmetrySoundness:
                 policy = AllReporting()
             else:
                 policy = LoserReporting()
-            reduced = profile_aggregates(policy, g, m, n, reduce_symmetry=True)
-            full = profile_aggregates(policy, g, m, n, reduce_symmetry=False)
+            reduced = profile_aggregates(policy, g, m, n)
+            full = full_stream_reference(policy, g, m, n)
             for z in ("u", "e"):
-                assert reduced.expected(z) == full.expected(z)
-                assert reduced.minimum(z) == full.minimum(z)
-                assert reduced.expected_min(z) == full.expected_min(z)
+                assert (reduced.expected(z), reduced.minimum(z), reduced.expected_min(z)) == full[z]
 
 
 class TestAllReportingDominance:
