@@ -6,24 +6,26 @@ over lottery outcomes (z).  ``sw(x,y,z)`` composes them outside-in.  A second,
 non-compositional reading used by the expected-min comparison suite averages
 the per-profile minimum across agents: ``E_R[min_i u_i(z, R)]``.
 
-Everything here is exact.  Which code serves which value:
+Everything here is exact.  Each value's route is chosen from its input
+(policy and criterion), whichever caller asks:
 
-* criteria that average all-reporting values over profiles (y = u, tables
-  1-4) come from a closed-form DP over the remaining ranks
-  (:func:`symmetric_aggregates`), without enumerating profiles;
+* ``all`` averaged over profiles (y = u) comes from a closed-form DP over the
+  remaining ranks (:func:`symmetric_aggregates`), without enumerating
+  profiles;
+* a turn sequence averaged over profiles (y = u) comes from the positions DP
+  of :func:`allocsim.sequential.expected_utility_sequential`; z does not
+  matter there, since a sequence has one run;
 * every other value is one pass over a profile stream with an integer
   per-profile kernel from :mod:`allocsim.parallel`:
   ``all_reporting_values_scaled`` for ``all``, ``sequential_values_scaled``
   for a turn sequence and ``policy_values_scaled`` for ``loser`` and custom
   policies.  A profile-space pass streams one representative per object
   relabeling; a single profile (:func:`profile_utilities`) is a stream of
-  one item.  Either way one criterion fold turns the pass's statistics into
-  the value.
+  one item.
 
-One pass per ``(policy, scoring, m, n)`` collects every statistic any
-criterion needs as integers times one scale; the pass can be chunked across
-worker processes, and the chunk reduction is order-fixed and exact, so
-results are bit-identical for any worker count.
+A pass collects every statistic any criterion needs as integers times one
+scale; it can be chunked across worker processes, and the chunk reduction is
+order-fixed and exact, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .parallel import (
     build_structure,  # unused here; bench/tracer.py wraps it in this module
     guaranteed_utilities,  # unused here; bench/tracer.py wraps it in this module
     lottery_expected_utilities,  # unused here; bench/tracer.py wraps it in this module
-    parse_policy,
     policy_values_scaled,
     sequential_values_scaled,
 )
@@ -55,6 +56,7 @@ from .sequential import (
     Aggregator,
     SequentialPolicy,
     canonical_turn_sequences,
+    expected_utility_sequential,
     optimal_sequential,
 )
 
@@ -91,6 +93,19 @@ def resolve_budget_units(budget_secs: float | None = None) -> int:
         raw = os.environ.get(BUDGET_ENV_VAR)
         budget_secs = float(raw) if raw else DEFAULT_BUDGET_SECS
     return max(1, int(budget_secs * UNITS_PER_SECOND))
+
+
+def _within_budget(estimated: int, budget_units: int | None, needs: str) -> int:
+    """The budget in work units, once work estimated at ``estimated`` units
+    is known to fit it; ``needs`` opens the refusal message."""
+    budget = budget_units if budget_units is not None else resolve_budget_units()
+    if estimated > budget:
+        raise BudgetExceededError(
+            f"{needs} {estimated} work units, budget is {budget}",
+            estimated=estimated,
+            budget=budget,
+        )
+    return budget
 
 
 @dataclass(frozen=True)
@@ -162,22 +177,6 @@ class ProfileAggregates:
         return total / self.total_weight
 
 
-def _policy_token(policy: ParallelPolicy):
-    """Picklable description of a built-in policy, or None for a custom one.
-
-    It also decides which passes are cached and pooled: a ``CustomPolicy``
-    may wrap any callable, a lambda say, which can be neither pickled for a
-    worker nor compared by value for a cache key.
-    """
-    if isinstance(policy, AllReporting):
-        return "all"
-    if isinstance(policy, LoserReporting):
-        return "loser"
-    if isinstance(policy, FromSequential):
-        return "seq:" + policy.policy.literal()
-    return None
-
-
 def _chunk_stats(orders_iter, evaluate, n: int, scale: int):
     """Accumulate the raw statistics of one chunk in integers: ``scale``
     times every utility sum and minimum, exactly."""
@@ -208,10 +207,18 @@ def _chunk_stats(orders_iter, evaluate, n: int, scale: int):
 
 def _compute_chunk(task):
     """Worker entry point: evaluate one stream chunk described by a task tuple."""
-    m, n, policy_token, g, lo, hi = task
-    policy = parse_policy(policy_token)
+    m, n, policy, g, lo, hi = task
     stream = ProfileStream(m, n, reduce_symmetry=True, lo=lo, hi=hi)
     return _stats_for_chunk(stream.iter_order_rows(), policy, g, m, n)
+
+
+def _fitted_sequence(policy: FromSequential, m: int, n: int) -> SequentialPolicy:
+    """The turn sequence of ``policy``, which must have m turns, none naming
+    an agent above n."""
+    pi = policy.policy
+    if pi.m != m or pi.max_agent > n:
+        raise PolicyViolationError(f"turn sequence {pi.literal()} does not fit m={m} objects and n={n} agents")
+    return pi
 
 
 def _stats_for_chunk(orders_iter, policy, g, m, n):
@@ -228,11 +235,7 @@ def _stats_for_chunk(orders_iter, policy, g, m, n):
             scale * denom,
         )
     if isinstance(policy, FromSequential):
-        turns = policy.policy.turns
-        if policy.policy.m != m or policy.policy.max_agent > n:
-            raise PolicyViolationError(
-                f"turn sequence {policy.policy.literal()} does not fit m={m} objects and n={n} agents"
-            )
+        turns = _fitted_sequence(policy, m, n).turns
 
         def evaluate(orders):
             v = sequential_values_scaled(turns, orders, int_row, 1)
@@ -270,9 +273,6 @@ def _merge_stats(parts):
     )
 
 
-_aggregate_cache: dict = {}
-
-
 def worker_count(jobs: int, cpus: int | None) -> int:
     """Worker processes for ``jobs``: never more than the CPU count."""
     if jobs < 1:
@@ -289,37 +289,23 @@ def profile_aggregates(
     budget_units: int | None = None,
 ) -> ProfileAggregates:
     """Exhaustive one-pass statistics for a policy over the profile stream,
-    one representative per object relabeling, each weighted by ``m!``."""
+    one representative per object relabeling, each weighted by ``m!``.
+
+    Only the built-in policies are pooled: a ``CustomPolicy`` may wrap any
+    callable, a lambda say, which cannot be pickled for a worker.
+    """
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
     workers = worker_count(jobs, os.cpu_count())
-    budget = budget_units if budget_units is not None else resolve_budget_units()
     stream = enumerate_profiles(m, n, reduce_symmetry=True)
-    estimated = stream.count * m
-    if estimated > budget:
-        raise BudgetExceededError(
-            f"enumeration needs about {estimated} work units, budget is {budget}",
-            estimated=estimated,
-            budget=budget,
-        )
-    token = _policy_token(policy)
-    cache_key = None
-    if token is not None:
-        cache_key = (m, n, token, g)
-        cached = _aggregate_cache.get(cache_key)
-        if cached is not None:
-            return cached
-    if workers > 1 and token is not None and stream.count > 4 * workers:
-        chunks = stream.partition(workers * 4)
-        tasks = [(m, n, token, g, c.lo, c.hi) for c in chunks]
+    _within_budget(stream.count * m, budget_units, "enumeration needs about")
+    built_in = isinstance(policy, (AllReporting, LoserReporting, FromSequential))
+    if workers > 1 and built_in and stream.count > 4 * workers:
+        tasks = [(m, n, policy, g, c.lo, c.hi) for c in stream.partition(workers * 4)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_compute_chunk, tasks))
-        result = _merge_stats(parts)
-    else:
-        result = _merge_stats([_stats_for_chunk(stream.iter_order_rows(), policy, g, m, n)])
-    if cache_key is not None:
-        _aggregate_cache[cache_key] = result
-    return result
+        return _merge_stats(parts)
+    return _merge_stats([_stats_for_chunk(stream.iter_order_rows(), policy, g, m, n)])
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +369,7 @@ def symmetric_aggregates(
         raise ValueError("the closed form only applies to the all-reporting policy")
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
-    budget = budget_units if budget_units is not None else resolve_budget_units()
-    estimated = _dp_transitions(m, n)
-    if estimated > budget:
-        raise BudgetExceededError(
-            f"closed form needs {estimated} work units, budget is {budget}",
-            estimated=estimated,
-            budget=budget,
-        )
+    _within_budget(_dp_transitions(m, n), budget_units, "closed form needs")
     row = g.score_row(m)
     # laws[r]: expected share of the demanded object, chance of demanding it
     # alone, and (size, chance) of each kept subset of the other r - 1 objects
@@ -429,17 +408,37 @@ def symmetric_aggregates(
 # Criterion evaluation
 
 
-def _fold(criterion: WelfareCriterion, stats: ProfileAggregates) -> Fraction:
-    """A criterion's value from one pass's statistics: the expected-min
-    reading, or the per-agent values over profiles (y) folded over agents
-    (x).  On a one-item stream the mean and the minimum over profiles agree,
-    and ``em-z`` equals ``x = e``."""
-    if criterion.mode == "emin":
-        return stats.expected_min(criterion.z)
-    values = stats.expected(criterion.z) if criterion.y == "u" else stats.minimum(criterion.z)
-    if criterion.x == "u":
-        return sum(values, Fraction(0))
-    return min(values)
+def _fold(x: str, values: Sequence[Fraction]) -> Fraction:
+    """Per-agent values folded over agents: their sum (x = u) or their
+    minimum (x = e)."""
+    return sum(values, Fraction(0)) if x == "u" else min(values)
+
+
+def _agent_values(
+    y: str,
+    z: str,
+    policy: ParallelPolicy,
+    g: ScoringSpec,
+    m: int,
+    n: int,
+    jobs: int,
+    budget_units: int | None,
+) -> tuple[Fraction, ...]:
+    """Every agent's mean (y = u) or worst case (y = e) over all profiles of
+    her expected (z = u) or guaranteed (z = e) utility, by the route the
+    input allows.  The profile averages of ``all`` and of a turn sequence
+    have closed forms; every other value is read off one profile pass, the
+    oracle the tests hold the closed forms to."""
+    if y == "u" and isinstance(policy, AllReporting):
+        expected, guaranteed = symmetric_aggregates(policy, g, m, n, budget_units)
+        return (expected if z == "u" else guaranteed,) * n
+    if y == "u" and isinstance(policy, FromSequential):
+        if m < 1 or n < 1:
+            raise ValueError("m and n must both be at least 1")
+        pi = _fitted_sequence(policy, m, n)
+        return tuple(expected_utility_sequential(pi, g, agent, n) for agent in range(1, n + 1))
+    stats = profile_aggregates(policy, g, m, n, jobs, budget_units)
+    return stats.expected(z) if y == "u" else stats.minimum(z)
 
 
 def agent_value(
@@ -457,9 +456,7 @@ def agent_value(
     all profiles of her expected (z='u') or guaranteed (z='e') utility."""
     if not 1 <= agent <= n:
         raise ValueError(f"agent {agent} out of range 1..{n}")
-    stats = profile_aggregates(policy, g, m, n, jobs, budget_units)
-    values = stats.expected(z) if y == "u" else stats.minimum(z)
-    return values[agent - 1]
+    return _agent_values(y, z, policy, g, m, n, jobs, budget_units)[agent - 1]
 
 
 def social_welfare(
@@ -499,7 +496,11 @@ def evaluate_criterion(
     jobs: int = 1,
     budget_units: int | None = None,
 ) -> Fraction:
-    return _fold(criterion, profile_aggregates(policy, g, m, n, jobs, budget_units))
+    """A criterion's value: the expected-min reading, from one profile pass,
+    or the per-agent values over profiles (y) folded over agents (x)."""
+    if criterion.mode == "emin":
+        return profile_aggregates(policy, g, m, n, jobs, budget_units).expected_min(criterion.z)
+    return _fold(criterion.x, _agent_values(criterion.y, criterion.z, policy, g, m, n, jobs, budget_units))
 
 
 def _profile_stats(policy: ParallelPolicy, profile: Profile, g: ScoringSpec) -> ProfileAggregates:
@@ -525,7 +526,7 @@ def per_profile_welfare(
     This is the fixed-profile counterpart of sw(x, y, z); the profile axis is
     pinned to the given profile instead of being aggregated.
     """
-    return _fold(WelfareCriterion.compositional(x, "u", z), _profile_stats(policy, profile, g))
+    return _fold(x, _profile_stats(policy, profile, g).expected(z))
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +593,7 @@ def optimal_sequential_expected_min(
 ) -> tuple[SequentialPolicy, Fraction]:
     """Argmax of the expected per-profile minimum utility over all turn
     sequences (canonical representatives, lexicographic tie-break)."""
-    budget = budget_units if budget_units is not None else resolve_budget_units()
-    items = math.factorial(m) ** (n - 1)
-    estimated = n**m * items * m
-    if estimated > budget:
-        raise BudgetExceededError(
-            f"search needs about {estimated} work units, budget is {budget}",
-            estimated=estimated,
-            budget=budget,
-        )
+    budget = _within_budget(n**m * math.factorial(m) ** (n - 1) * m, budget_units, "search needs about")
     best: tuple[Fraction, tuple[int, ...]] | None = None
     for turns in canonical_turn_sequences(m, n):
         policy = FromSequential(SequentialPolicy(turns))
@@ -613,18 +606,6 @@ def optimal_sequential_expected_min(
 
 def _scoring_for(table: TableSpec) -> ScoringSpec:
     return ScoringSpec.borda() if table.scoring == "borda" else ScoringSpec.lexicographic()
-
-
-def _all_reporting_value(
-    criterion: WelfareCriterion, g: ScoringSpec, m: int, n: int, jobs: int, budget_units
-) -> Fraction:
-    """All-reporting column value.  Criteria that average over profiles
-    (y = u) come from the closed form; the rest enumerate profiles."""
-    if criterion.mode == "comp" and criterion.y == "u":
-        expected, guaranteed = symmetric_aggregates(AllReporting(), g, m, n, budget_units)
-        value = expected if criterion.z == "u" else guaranteed
-        return n * value if criterion.x == "u" else value
-    return evaluate_criterion(criterion, AllReporting(), g, m, n, jobs=jobs, budget_units=budget_units)
 
 
 def reproduce_table(
@@ -662,9 +643,9 @@ def reproduce_table(
                 pi_star, value_star = optimal_sequential_expected_min(
                     m, n, g, jobs=jobs, budget_units=budget_units
                 )
-                value_all = _all_reporting_value(table.criterion, g, m, n, jobs, budget_units)
+                value_all = evaluate_criterion(table.criterion, AllReporting(), g, m, n, jobs, budget_units)
             else:
-                value_all = _all_reporting_value(table.criterion, g, m, n, jobs, budget_units)
+                value_all = evaluate_criterion(table.criterion, AllReporting(), g, m, n, jobs, budget_units)
                 aggregator = Aggregator.UTILITARIAN if table.criterion.x == "u" else Aggregator.EGALITARIAN
                 pi_star, value_star = optimal_sequential(m, n, g, aggregator)
             rows.append(TableRow(table_id, m, n, pi_star, value_star, value_all))

@@ -105,6 +105,8 @@ def _bad_inputs():
         pytest.param(["eval", "-m", "3", "-n", "2", "--policy", "all", "--scoring", "custom:{missing}"], 3,
                      id="missing-custom-file"),
         pytest.param(["eval", "-m", "2", "-n", "2", "--policy", "all", "--jobs", "0"], 2, id="jobs-0"),
+        pytest.param(["eval", "-m", "4", "-n", "3", "--policy", "seq:123", "--criterion", "uuu"], 5,
+                     id="eval-space-seq:123-m4"),
     ]
     return cases
 
@@ -133,7 +135,8 @@ class TestExitCodes:
         run_cli("simulate", "--policy", "all", "--profile", str(bad), expect_code=3)
 
     def test_budget_error_is_4(self):
-        run_cli("eval", "-m", "9", "-n", "3", "--policy", "all", "--criterion", "uuu", expect_code=4)
+        # The worst profile (y = e) has no closed form, so it still enumerates.
+        run_cli("eval", "-m", "9", "-n", "3", "--policy", "all", "--criterion", "ueu", expect_code=4)
 
     def test_policy_violation_is_5(self, profile_file):
         run_cli("simulate", "--policy", "seq:12", "--profile", profile_file, expect_code=5)
@@ -169,6 +172,15 @@ class TestEval:
         out = run_cli("eval", "-m", "2", "-n", "2", "--policy", "all", "--criterion", "uuu", "--format", "json")
         payload = json.loads(out)
         assert payload["exact"] == "7/2"
+
+    def test_closed_form_value_matches_table_one(self):
+        # The enumeration would need 177.8M work units at (7, 3); the closed
+        # form answers, with the value table 1 prints for that cell.
+        out = run_cli("eval", "--policy", "all", "-m", "7", "-n", "3", "--criterion", "uuu")
+        assert out.strip() == "38.8638"
+        table = run_cli("tables", "--id", "1", "--max-m", "7", "--max-n", "3")
+        (row,) = [line for line in table.splitlines() if line.startswith("1,7,3,")]
+        assert row.split(",")[-1] == "38.864"
 
     def test_requires_sizes_or_profile(self):
         run_cli("eval", "--policy", "all", expect_code=2)

@@ -13,7 +13,7 @@ from allocsim.parallel import AllReporting, CustomPolicy, FromSequential, LoserR
 from allocsim.sequential import (
     Aggregator,
     SequentialPolicy,
-    expected_welfare_sequential,
+    canonical_turn_sequences,
     optimal_sequential,
 )
 from allocsim.welfare import (
@@ -99,8 +99,9 @@ class TestSocialWelfare:
             social_welfare(parse_criterion("em-u"), AllReporting(), borda, 2, 2)
 
     def test_budget_refusal(self, borda):
+        # The worst profile (y = e) has no closed form, so it still enumerates.
         with pytest.raises(BudgetExceededError):
-            social_welfare(parse_criterion("uuu"), AllReporting(), borda, 9, 3)
+            social_welfare(parse_criterion("ueu"), AllReporting(), borda, 9, 3)
 
 
 class TestPerProfileWelfare:
@@ -156,20 +157,23 @@ class TestIdentityInsensitivity:
 
 
 class TestSequentialEmbeddingConsistency:
+    """The positions DP that serves a turn sequence's profile averages,
+    pinned to the profile pass of the same sequence."""
+
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3)])
     def test_welfare_of_embedding_equals_sequential(self, borda, m, n):
         for turns in itertools.product(range(1, n + 1), repeat=m):
-            pi = SequentialPolicy(turns)
-            policy = FromSequential(pi)
+            policy = FromSequential(SequentialPolicy(turns))
             util = social_welfare(parse_criterion("uuu"), policy, borda, m, n)
             egal = social_welfare(parse_criterion("euu"), policy, borda, m, n)
-            assert util == expected_welfare_sequential(pi, borda, Aggregator.UTILITARIAN, n=n)
-            assert egal == expected_welfare_sequential(pi, borda, Aggregator.EGALITARIAN, n=n)
+            expected = profile_aggregates(policy, borda, m, n).expected("u")
+            assert util == sum(expected)
+            assert egal == min(expected)
 
     def test_spot_check_larger(self, borda):
-        pi = SequentialPolicy((1, 2, 3, 1))
-        value = social_welfare(parse_criterion("uuu"), FromSequential(pi), borda, 4, 3)
-        assert value == expected_welfare_sequential(pi, borda, Aggregator.UTILITARIAN, n=3)
+        policy = FromSequential(SequentialPolicy((1, 2, 3, 1)))
+        value = social_welfare(parse_criterion("uuu"), policy, borda, 4, 3)
+        assert value == sum(profile_aggregates(policy, borda, 4, 3).expected("u"))
 
 
 def custom_row(m):
@@ -407,20 +411,62 @@ class TestPolicyKernelPass:
         with pytest.raises(PolicyViolationError):
             profile_aggregates(CustomPolicy(fn), borda, 3, 3)
 
-    @pytest.mark.parametrize("g", [ScoringSpec.borda(), custom_row(4)], ids=["borda", "custom_row(4)"])
-    def test_loser_pool_equals_serial(self, g, monkeypatch):
-        pools = []
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of every pool a pass starts, on a 2-CPU host."""
+        started = []
 
         class CountingPool(welfare.ProcessPoolExecutor):
             def __init__(self, max_workers):
-                pools.append(max_workers)
+                started.append(max_workers)
                 super().__init__(max_workers)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(welfare, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(welfare, "_aggregate_cache", {})
+        return started
+
+    @pytest.mark.parametrize("g", [ScoringSpec.borda(), custom_row(4)], ids=["borda", "custom_row(4)"])
+    def test_loser_pool_equals_serial(self, g, pools):
         serial = profile_aggregates(LoserReporting(), g, 4, 3, jobs=1)
-        monkeypatch.setattr(welfare, "_aggregate_cache", {})
         pooled = profile_aggregates(LoserReporting(), g, 4, 3, jobs=2)
         assert pools == [2]
         assert pooled == serial
+
+    def test_custom_policy_never_pooled(self, borda, pools):
+        # A lambda cannot be pickled for a worker, so the pass stays serial.
+        policy = CustomPolicy(lambda history: (1, 2, 3) if len(history) % 2 == 0 else (2, 3))
+        serial = profile_aggregates(policy, borda, 4, 3, jobs=1)
+        pooled = profile_aggregates(policy, borda, 4, 3, jobs=2)
+        assert pools == []
+        assert pooled == serial
+
+
+class TestRoutes:
+    """Profile averages (y = u) of ``all`` and of every canonical turn
+    sequence come from closed forms, never a profile pass; each equals the
+    fold of the pass."""
+
+    @pytest.mark.parametrize("kind", ["borda", "lex", "custom"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_closed_forms_equal_the_pass(self, m, n, kind, monkeypatch):
+        g = custom_row(m) if kind == "custom" else ScoringSpec(kind)
+        policies = [AllReporting()] + [
+            FromSequential(SequentialPolicy(turns)) for turns in canonical_turn_sequences(m, n)
+        ]
+        oracles = [profile_aggregates(policy, g, m, n) for policy in policies]
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return profile_aggregates(*args, **kwargs)
+
+        monkeypatch.setattr(welfare, "profile_aggregates", counted)
+        for policy, stats in zip(policies, oracles):
+            for z in ("u", "e"):
+                expected = stats.expected(z)
+                assert evaluate_criterion(parse_criterion(f"uu{z}"), policy, g, m, n) == sum(expected)
+                assert evaluate_criterion(parse_criterion(f"eu{z}"), policy, g, m, n) == min(expected)
+                for agent in range(1, n + 1):
+                    assert agent_value(agent, "u", z, policy, g, m, n) == expected[agent - 1]
+        assert passes == []
