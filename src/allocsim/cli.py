@@ -307,23 +307,20 @@ def eval_cmd(m, n, policy_literal, scoring_literal, criterion_literal, profile_p
 @click.option("--scoring", "scoring_literal", default="borda", show_default=True)
 @click.option("--criterion", "criterion_literal", default="uuu", show_default=True,
               help="uuu (sum of expectations), euu (min of expectations) or em-u (expected minimum).")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--budget", type=float, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--output", type=click.Path(), default=None)
 @_guard
-def optimal_seq(m, n, scoring_literal, criterion_literal, jobs, budget, fmt, output):
+def optimal_seq(m, n, scoring_literal, criterion_literal, budget, fmt, output):
     """Exhaustive search for the best turn sequence under a criterion."""
     g = _load_scoring(scoring_literal)
     criterion = parse_criterion(criterion_literal)
     _warn_small_m(m, n)
     budget_units = resolve_budget_units(budget) if budget is not None else None
     if criterion.mode == "emin":
-        policy, value = optimal_sequential_expected_min(m, n, g, jobs=jobs, budget_units=budget_units)
-    elif criterion.literal() == "uuu":
-        policy, value = optimal_sequential(m, n, g, Aggregator.UTILITARIAN)
-    elif criterion.literal() == "euu":
-        policy, value = optimal_sequential(m, n, g, Aggregator.EGALITARIAN)
+        policy, value = optimal_sequential_expected_min(m, n, g, budget_units=budget_units)
+    elif criterion.literal() in ("uuu", "euu"):
+        policy, value = optimal_sequential(m, n, g, Aggregator(criterion.x))
     else:
         raise click.UsageError("optimal-seq supports the criteria uuu, euu and em-u")
     if fmt == "json":

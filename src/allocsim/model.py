@@ -205,20 +205,6 @@ def is_convex(g: ScoringSpec, m: int) -> bool:
 # Profile enumeration
 
 
-_PERM_CACHE_LIMIT = 8
-_perm_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-
-def _all_perms(m: int) -> tuple[tuple[int, ...], ...]:
-    """All permutations of ``1..m`` in lexicographic order (cached for small m)."""
-    if m in _perm_tables:
-        return _perm_tables[m]
-    perms = tuple(itertools.permutations(range(1, m + 1)))
-    if m <= _PERM_CACHE_LIMIT:
-        _perm_tables[m] = perms
-    return perms
-
-
 @dataclass(frozen=True)
 class ProfileStream:
     """A lazily enumerated, weight-annotated portion of profile space.
@@ -227,7 +213,8 @@ class ProfileStream:
     which is how :meth:`partition` splits the stream into independently
     iterable parts.  Summing any per-profile quantity times its weight over
     any partitioning gives the same total; ``total_weight`` is ``(m!)**n``
-    for the full stream.
+    for the full stream.  A stream is plain data, so a worker process can
+    take a chunk as is, and no ranking table outlives a walk.
     """
 
     m: int
@@ -281,37 +268,29 @@ class ProfileStream:
             if b > a
         ]
 
-    def _iter_leading(self) -> Iterator[tuple[int, ...]]:
-        if self.m <= _PERM_CACHE_LIMIT:
-            perms = _all_perms(self.m)
-            yield from perms[self.lo : self.hi]
-        else:
-            # Too many permutations to materialize; walk them lazily.
-            it = itertools.permutations(range(1, self.m + 1))
-            yield from itertools.islice(it, self.lo, self.hi)
+    def iter_order_rows(self) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
+        """Yield ``(order_rows, weight)`` pairs without building Profile objects.
 
-    def _iter_varying_orders(self) -> Iterator[tuple[tuple[int, ...], ...]]:
+        The leading varying agent's rankings ``lo..hi`` are sliced from
+        ``itertools.permutations``; every later varying agent runs over one
+        tuple of all ``m!`` rankings, built for this walk and dropped with it.
+        """
+        w = self.item_weight
+        objects = range(1, self.m + 1)
+        fixed = (tuple(objects),) if self.reduce_symmetry else ()
         k = self.varying_agents
         if k == 0:
-            yield ()
+            if self.count:
+                yield fixed, w
             return
-        for lead in self._iter_leading():
-            head = (lead,)
-            if k == 1:
-                yield head
-            else:
-                for rest in itertools.product(_all_perms(self.m), repeat=k - 1):
-                    yield head + rest
-
-    def iter_order_rows(self) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
-        """Yield ``(order_rows, weight)`` pairs without building Profile objects."""
-        w = self.item_weight
-        if self.reduce_symmetry:
-            fixed = tuple(range(1, self.m + 1))
-            for varying in self._iter_varying_orders():
-                yield (fixed,) + varying, w
-        else:
-            yield from ((orders, w) for orders in self._iter_varying_orders())
+        leading = itertools.islice(itertools.permutations(objects), self.lo, self.hi)
+        if k == 1:
+            for lead in leading:
+                yield fixed + (lead,), w
+            return
+        rest = tuple(itertools.permutations(objects))
+        for varying in itertools.product(leading, *[rest] * (k - 1)):
+            yield fixed + varying, w
 
     def __iter__(self) -> Iterator[tuple[Profile, int]]:
         for orders, w in self.iter_order_rows():

@@ -39,10 +39,12 @@ DEFAULT_SEARCH_BUDGET = 10**7
 
 
 class Aggregator(enum.Enum):
-    """How per-agent values are folded into a social value."""
+    """How per-agent values are folded into a social value.  The values are
+    the criterion axis letters, so ``Aggregator(criterion.x)`` is the fold
+    over agents."""
 
-    UTILITARIAN = "utilitarian"  # sum
-    EGALITARIAN = "egalitarian"  # min
+    UTILITARIAN = "u"  # sum
+    EGALITARIAN = "e"  # min
 
     def apply(self, values: Iterable[Fraction]) -> Fraction:
         values = list(values)

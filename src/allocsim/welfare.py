@@ -24,8 +24,10 @@ Everything here is exact.  Each value's route is chosen from its input
   one item.
 
 A pass collects every statistic any criterion needs as integers times one
-scale; it can be chunked across worker processes, and the chunk reduction is
-order-fixed and exact, so results are bit-identical for any worker count.
+scale.  With ``jobs > 1`` a large enough pass is chunked across one worker
+pool that lives as long as that pass; the chunk reduction is order-fixed and
+exact, so results are bit-identical for any worker count.  A search runs its
+candidates' passes in-process and starts no pool.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceededError, PolicyViolationError
-from .model import Profile, ProfileStream, ScoringSpec, enumerate_profiles
+from .model import Profile, ScoringSpec, enumerate_profiles
 from .parallel import (
     AllReporting,
     FromSequential,
@@ -206,25 +208,25 @@ def _chunk_stats(orders_iter, evaluate, n: int, scale: int):
 
 
 def _compute_chunk(task):
-    """Worker entry point: evaluate one stream chunk described by a task tuple."""
-    m, n, policy, g, lo, hi = task
-    stream = ProfileStream(m, n, reduce_symmetry=True, lo=lo, hi=hi)
-    return _stats_for_chunk(stream.iter_order_rows(), policy, g, m, n)
+    """Worker entry point: the statistics of one ``(stream, policy, g)`` chunk."""
+    stream, policy, g = task
+    return _stats_for_chunk(stream.iter_order_rows(), policy, g, stream.m, stream.n)
 
 
-def _fitted_sequence(policy: FromSequential, m: int, n: int) -> SequentialPolicy:
-    """The turn sequence of ``policy``, which must have m turns, none naming
-    an agent above n."""
-    pi = policy.policy
-    if pi.m != m or pi.max_agent > n:
-        raise PolicyViolationError(f"turn sequence {pi.literal()} does not fit m={m} objects and n={n} agents")
-    return pi
+def _check_fit(policy: ParallelPolicy, m: int, n: int) -> None:
+    """Refuse a turn sequence that does not have m turns or names an agent
+    above n.  Each route checks this once, before any budget."""
+    if isinstance(policy, FromSequential):
+        pi = policy.policy
+        if pi.m != m or pi.max_agent > n:
+            raise PolicyViolationError(f"turn sequence {pi.literal()} does not fit m={m} objects and n={n} agents")
 
 
 def _stats_for_chunk(orders_iter, policy, g, m, n):
     """Chunk statistics from the per-profile kernel that serves ``policy``:
     one deterministic chain of stages under all-reporting, one run for a turn
-    sequence, the memoized lottery recursion for every other policy."""
+    sequence (whose fit the caller has checked), the memoized lottery
+    recursion for every other policy."""
     int_row, denom = g.integer_row(m)
     if isinstance(policy, AllReporting):
         scale = math.lcm(*range(1, n + 1))
@@ -235,7 +237,7 @@ def _stats_for_chunk(orders_iter, policy, g, m, n):
             scale * denom,
         )
     if isinstance(policy, FromSequential):
-        turns = _fitted_sequence(policy, m, n).turns
+        turns = policy.policy.turns
 
         def evaluate(orders):
             v = sequential_values_scaled(turns, orders, int_row, 1)
@@ -291,17 +293,20 @@ def profile_aggregates(
     """Exhaustive one-pass statistics for a policy over the profile stream,
     one representative per object relabeling, each weighted by ``m!``.
 
-    Only the built-in policies are pooled: a ``CustomPolicy`` may wrap any
-    callable, a lambda say, which cannot be pickled for a worker.
+    With more than one worker, a pass of more than ``4 * workers`` items runs
+    in one pool started for it and shut down with it.  Only the built-in
+    policies are pooled: a ``CustomPolicy`` may wrap any callable, a lambda
+    say, which cannot be pickled for a worker.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
     workers = worker_count(jobs, os.cpu_count())
+    _check_fit(policy, m, n)
     stream = enumerate_profiles(m, n, reduce_symmetry=True)
     _within_budget(stream.count * m, budget_units, "enumeration needs about")
     built_in = isinstance(policy, (AllReporting, LoserReporting, FromSequential))
     if workers > 1 and built_in and stream.count > 4 * workers:
-        tasks = [(m, n, policy, g, c.lo, c.hi) for c in stream.partition(workers * 4)]
+        tasks = [(chunk, policy, g) for chunk in stream.partition(workers * 4)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_compute_chunk, tasks))
         return _merge_stats(parts)
@@ -408,12 +413,6 @@ def symmetric_aggregates(
 # Criterion evaluation
 
 
-def _fold(x: str, values: Sequence[Fraction]) -> Fraction:
-    """Per-agent values folded over agents: their sum (x = u) or their
-    minimum (x = e)."""
-    return sum(values, Fraction(0)) if x == "u" else min(values)
-
-
 def _agent_values(
     y: str,
     z: str,
@@ -435,8 +434,8 @@ def _agent_values(
     if y == "u" and isinstance(policy, FromSequential):
         if m < 1 or n < 1:
             raise ValueError("m and n must both be at least 1")
-        pi = _fitted_sequence(policy, m, n)
-        return tuple(expected_utility_sequential(pi, g, agent, n) for agent in range(1, n + 1))
+        _check_fit(policy, m, n)
+        return tuple(expected_utility_sequential(policy.policy, g, agent, n) for agent in range(1, n + 1))
     stats = profile_aggregates(policy, g, m, n, jobs, budget_units)
     return stats.expected(z) if y == "u" else stats.minimum(z)
 
@@ -500,12 +499,13 @@ def evaluate_criterion(
     or the per-agent values over profiles (y) folded over agents (x)."""
     if criterion.mode == "emin":
         return profile_aggregates(policy, g, m, n, jobs, budget_units).expected_min(criterion.z)
-    return _fold(criterion.x, _agent_values(criterion.y, criterion.z, policy, g, m, n, jobs, budget_units))
+    return Aggregator(criterion.x).apply(_agent_values(criterion.y, criterion.z, policy, g, m, n, jobs, budget_units))
 
 
 def _profile_stats(policy: ParallelPolicy, profile: Profile, g: ScoringSpec) -> ProfileAggregates:
     """The statistics of one profile: a stream of one item through the same
     kernel, fit check and accumulator as a profile-space pass."""
+    _check_fit(policy, profile.m, profile.n)
     item = [(profile.order_rows(), 1)]
     return _merge_stats([_stats_for_chunk(item, policy, g, profile.m, profile.n)])
 
@@ -526,7 +526,7 @@ def per_profile_welfare(
     This is the fixed-profile counterpart of sw(x, y, z); the profile axis is
     pinned to the given profile instead of being aggregated.
     """
-    return _fold(x, _profile_stats(policy, profile, g).expected(z))
+    return Aggregator(x).apply(_profile_stats(policy, profile, g).expected(z))
 
 
 # ---------------------------------------------------------------------------
@@ -588,16 +588,16 @@ def optimal_sequential_expected_min(
     m: int,
     n: int,
     g: ScoringSpec,
-    jobs: int = 1,
     budget_units: int | None = None,
 ) -> tuple[SequentialPolicy, Fraction]:
     """Argmax of the expected per-profile minimum utility over all turn
-    sequences (canonical representatives, lexicographic tie-break)."""
+    sequences (canonical representatives, lexicographic tie-break).  Each
+    candidate's profile pass runs in-process."""
     budget = _within_budget(n**m * math.factorial(m) ** (n - 1) * m, budget_units, "search needs about")
     best: tuple[Fraction, tuple[int, ...]] | None = None
     for turns in canonical_turn_sequences(m, n):
         policy = FromSequential(SequentialPolicy(turns))
-        value = expected_min_welfare("u", policy, g, m, n, jobs=jobs, budget_units=budget)
+        value = expected_min_welfare("u", policy, g, m, n, budget_units=budget)
         if best is None or value > best[0]:
             best = (value, turns)
     assert best is not None
@@ -640,14 +640,11 @@ def reproduce_table(
         # their pi* search has no budget.
         try:
             if table.criterion.mode == "emin":
-                pi_star, value_star = optimal_sequential_expected_min(
-                    m, n, g, jobs=jobs, budget_units=budget_units
-                )
+                pi_star, value_star = optimal_sequential_expected_min(m, n, g, budget_units=budget_units)
                 value_all = evaluate_criterion(table.criterion, AllReporting(), g, m, n, jobs, budget_units)
             else:
                 value_all = evaluate_criterion(table.criterion, AllReporting(), g, m, n, jobs, budget_units)
-                aggregator = Aggregator.UTILITARIAN if table.criterion.x == "u" else Aggregator.EGALITARIAN
-                pi_star, value_star = optimal_sequential(m, n, g, aggregator)
+                pi_star, value_star = optimal_sequential(m, n, g, Aggregator(table.criterion.x))
             rows.append(TableRow(table_id, m, n, pi_star, value_star, value_all))
         except BudgetExceededError:
             rows.append(TableRow(table_id, m, n, None, None, None, status="timeout"))

@@ -108,6 +108,13 @@ def _bad_inputs():
         pytest.param(["eval", "-m", "4", "-n", "3", "--policy", "seq:123", "--criterion", "uuu"], 5,
                      id="eval-space-seq:123-m4"),
     ]
+    # A misfit sequence is refused before any budget, whichever route the
+    # criterion takes: the positions DP (uuu) or a profile pass far over
+    # the default budget (ueu, em-u).
+    for criterion in ("uuu", "ueu", "em-u"):
+        cases.append(pytest.param(
+            ["eval", "--policy", "seq:123456789", "-m", "9", "-n", "3", "--criterion", criterion], 5,
+            id=f"eval-space-seq:123456789-m9-{criterion}"))
     return cases
 
 
@@ -145,7 +152,6 @@ class TestExitCodes:
     def test_jobs_below_one_is_2(self, jobs):
         run_cli("tables", "--id", "5", "--max-m", "2", "--jobs", jobs, expect_code=2)
         run_cli("eval", "-m", "2", "-n", "2", "--policy", "all", "--jobs", jobs, expect_code=2)
-        run_cli("optimal-seq", "-m", "2", "-n", "2", "--jobs", jobs, expect_code=2)
 
     def test_missing_scoring_file_is_3(self, tmp_path):
         proc = subprocess.run(
@@ -194,6 +200,11 @@ class TestOptimalSeq:
     def test_expected_min(self):
         out = run_cli("optimal-seq", "-m", "3", "-n", "2", "--criterion", "em-u")
         assert out.split() == ["122", "3"]
+
+    def test_has_no_jobs_option(self):
+        # The em-u search runs its candidates in-process; no pool to size.
+        assert "--jobs" not in run_cli("optimal-seq", "--help")
+        run_cli("optimal-seq", "-m", "3", "-n", "2", "--criterion", "em-u", "--jobs", "2", expect_code=2)
 
 
 class TestTables:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -147,14 +148,24 @@ class TestEnumeration:
         assert len(set(seen)) == 36
         assert seen == sorted(seen)
 
+    # (m, n, reduce_symmetry): a full stream, a reduced one whose later agent
+    # runs over all m! rankings, a reduced one with no varying agent, and a
+    # one-agent walk over 9! rankings.  The cases run in one test so that it
+    # keeps its id.  Chunks are compared item by item as they stream, so that
+    # no second 9!-item list is held.
+    PARTITION_CASES = ((3, 2, False), (4, 3, True), (3, 1, True), (9, 2, True))
+
     def test_partition_covers_stream(self):
-        stream = enumerate_profiles(3, 2, reduce_symmetry=False)
-        whole = [p.order_rows() for p, _ in stream]
-        for parts in (1, 2, 4, 5):
-            chunks = stream.partition(parts)
-            assert sum(c.count for c in chunks) == stream.count
-            glued = [p.order_rows() for c in chunks for p, _ in c]
-            assert glued == whole
+        for m, n, reduced in self.PARTITION_CASES:
+            stream = enumerate_profiles(m, n, reduce_symmetry=reduced)
+            whole = list(stream.iter_order_rows())
+            assert len(whole) == stream.count
+            for parts in (1, 2, 4, 5):
+                chunks = stream.partition(parts)
+                assert sum(c.count for c in chunks) == stream.count
+                glued = itertools.chain.from_iterable(c.iter_order_rows() for c in chunks)
+                pairs = itertools.zip_longest(glued, whole)
+                assert all(itertools.starmap(operator.eq, pairs)), (m, n, reduced, parts)
 
     def test_partition_weighted_sum_invariant(self):
         stream = enumerate_profiles(3, 3, reduce_symmetry=True)

@@ -38,6 +38,21 @@ def close(value, printed, tol=MILLI):
     return abs(value - Fraction(str(printed))) <= tol
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every pool a pass starts, on a 2-CPU host."""
+    started = []
+
+    class CountingPool(welfare.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(welfare, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
 class TestCriterionParsing:
     def test_compositional(self):
         c = parse_criterion("ueu")
@@ -351,6 +366,15 @@ class TestTables:
         assert pi.turns == (1, 2)
         assert value == Fraction(3, 2)
 
+    def test_table_five_cell_starts_one_pool(self, pools):
+        # The 16 candidates' passes run in-process; only the all-reporting
+        # column's pass is spread over workers.
+        serial = reproduce_table(5, cells=[(5, 2)], jobs=1)
+        assert pools == []
+        pooled = reproduce_table(5, cells=[(5, 2)], jobs=2)
+        assert pools == [2]
+        assert pooled == serial
+
 
 class TestEvaluateCriterion:
     def test_dispatches_both_modes(self, borda):
@@ -410,20 +434,6 @@ class TestPolicyKernelPass:
     def test_custom_policy_checks_fire(self, borda, fn):
         with pytest.raises(PolicyViolationError):
             profile_aggregates(CustomPolicy(fn), borda, 3, 3)
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker count of every pool a pass starts, on a 2-CPU host."""
-        started = []
-
-        class CountingPool(welfare.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(welfare, "ProcessPoolExecutor", CountingPool)
-        return started
 
     @pytest.mark.parametrize("g", [ScoringSpec.borda(), custom_row(4)], ids=["borda", "custom_row(4)"])
     def test_loser_pool_equals_serial(self, g, pools):
