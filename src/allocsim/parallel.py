@@ -428,29 +428,27 @@ def all_reporting_values_scaled(
     expected = [0] * n
     guaranteed = [0] * n
     left = m
-    counts: dict[int, int] = {}
-    tops = [0] * n
     while left > 0:
-        counts.clear()
-        for i in range(n):
-            row = order_rows[i]
+        tops = []
+        for i, row in enumerate(order_rows):
             p = ptr[i]
-            while taken[row[p]]:
-                p += 1
-            ptr[i] = p
             t = row[p]
-            tops[i] = t
-            counts[t] = counts.get(t, 0) + 1
-        for i in range(n):
-            t = tops[i]
-            c = counts[t]
-            s = int_row[ptr[i] + 1]
-            expected[i] += s * (scale // c)
+            while taken[t]:
+                p += 1
+                t = row[p]
+            ptr[i] = p
+            tops.append(t)
+        for i, t in enumerate(tops):
+            c = tops.count(t)
+            s = int_row[ptr[i] + 1] * scale
             if c == 1:
-                guaranteed[i] += s * scale
-        for t in counts:
-            taken[t] = True
-        left -= len(counts)
+                expected[i] += s
+                guaranteed[i] += s
+            else:
+                expected[i] += s // c
+            if not taken[t]:
+                taken[t] = True
+                left -= 1
     return expected, guaranteed
 
 

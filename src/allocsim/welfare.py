@@ -20,8 +20,9 @@ Everything here is exact.  Each value's route is chosen from its input
   ``all_reporting_values_scaled`` for ``all``, ``sequential_values_scaled``
   for a turn sequence and ``policy_values_scaled`` for ``loser`` and custom
   policies.  A profile-space pass streams one representative per object
-  relabeling; a single profile (:func:`profile_utilities`) is a stream of
-  one item.
+  relabeling, and for ``all`` and ``loser``, which treat agents alike,
+  evaluates one per relabeling of agents 2..n; a single profile
+  (:func:`profile_utilities`) is a stream of one item.
 
 A pass collects every statistic any criterion needs as integers times one
 scale.  With ``jobs > 1`` a large enough pass is chunked across one worker
@@ -207,10 +208,33 @@ def _chunk_stats(orders_iter, evaluate, n: int, scale: int):
     return scale, count, sum_hat, min_hat, sum_under, min_under, sum_min_hat, sum_min_under
 
 
+def _sorted_others(rows):
+    """One item per orbit of ``rows`` under relabeling agents 2..n: the items
+    whose later rankings are non-decreasing, each weighted by the number of
+    distinct orders of those rankings."""
+    for orders, w in rows:
+        ways = run = 1
+        for k in range(2, len(orders)):
+            if orders[k] < orders[k - 1]:
+                break
+            run = run + 1 if orders[k] == orders[k - 1] else 1
+            ways = ways * k // run
+        else:
+            yield orders, w * ways
+
+
 def _compute_chunk(task):
-    """Worker entry point: the statistics of one ``(stream, policy, g)`` chunk."""
+    """Worker entry point: the statistics of one ``(stream, policy, g)`` chunk
+    of a profile pass.  ``all`` and ``loser`` treat agents alike, so they
+    evaluate one profile per orbit under relabeling agents 2..n (which keeps
+    agent 1's values and the per-profile minimum) and report agent 1's
+    statistics for every agent, as over the whole profile space they agree."""
     stream, policy, g = task
-    return _stats_for_chunk(stream.iter_order_rows(), policy, g, stream.m, stream.n)
+    rows = stream.iter_order_rows()
+    if not isinstance(policy, (AllReporting, LoserReporting)):
+        return _stats_for_chunk(rows, policy, g, stream.m, stream.n)
+    stats = _stats_for_chunk(_sorted_others(rows), policy, g, stream.m, stream.n)
+    return stats and stats[:2] + tuple(per_agent[:1] * stream.n for per_agent in stats[2:6]) + stats[6:]
 
 
 def _check_fit(policy: ParallelPolicy, m: int, n: int) -> None:
@@ -291,7 +315,8 @@ def profile_aggregates(
     budget_units: int | None = None,
 ) -> ProfileAggregates:
     """Exhaustive one-pass statistics for a policy over the profile stream,
-    one representative per object relabeling, each weighted by ``m!``.
+    one representative per object relabeling, each weighted by ``m!`` (for
+    ``all`` and ``loser`` also per agent relabeling; see :func:`_compute_chunk`).
 
     With more than one worker, a pass of more than ``4 * workers`` items runs
     in one pool started for it and shut down with it.  Only the built-in
@@ -310,7 +335,7 @@ def profile_aggregates(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_compute_chunk, tasks))
         return _merge_stats(parts)
-    return _merge_stats([_stats_for_chunk(stream.iter_order_rows(), policy, g, m, n)])
+    return _merge_stats([_compute_chunk((stream, policy, g))])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 import allocsim.welfare as welfare
 from allocsim.errors import BudgetExceededError, PolicyViolationError
 from allocsim.model import Profile, Ranking, ScoringSpec, identity_ranking
-from allocsim.parallel import AllReporting, CustomPolicy, FromSequential, LoserReporting, ParallelPolicy
+from allocsim.parallel import (
+    AllReporting,
+    CustomPolicy,
+    FromSequential,
+    LoserReporting,
+    ParallelPolicy,
+    all_reporting_values_scaled,
+)
 from allocsim.sequential import (
     Aggregator,
     SequentialPolicy,
@@ -272,7 +279,8 @@ class TestSymmetrySoundness:
     @pytest.mark.parametrize("policy_literal", ["all", "loser", "seq"])
     def test_reduced_equals_full(self, kind, policy_literal, full_stream_reference):
         g = ScoringSpec(kind)
-        for m, n in [(2, 2), (3, 2), (3, 3)]:
+        # n >= 4 gives agent-relabeling orbits of every size, ties included.
+        for m, n in [(2, 2), (3, 2), (3, 3), (2, 4), (3, 4), (2, 5)]:
             if policy_literal == "seq":
                 policy = FromSequential(SequentialPolicy(tuple((k % n) + 1 for k in range(m))))
             elif policy_literal == "all":
@@ -283,6 +291,18 @@ class TestSymmetrySoundness:
             full = full_stream_reference(policy, g, m, n)
             for z in ("u", "e"):
                 assert (reduced.expected(z), reduced.minimum(z), reduced.expected_min(z)) == full[z]
+
+    def test_anonymous_pass_evaluates_one_profile_per_orbit(self, borda, monkeypatch):
+        calls = []
+
+        def counted(orders, int_row, scale):
+            calls.append(orders)
+            return all_reporting_values_scaled(orders, int_row, scale)
+
+        monkeypatch.setattr(welfare, "all_reporting_values_scaled", counted)
+        profile_aggregates(AllReporting(), borda, 4, 3)
+        assert len(calls) == 24 * 25 // 2
+        assert all(orders[1] <= orders[2] for orders in calls)
 
 
 class TestAllReportingDominance:
