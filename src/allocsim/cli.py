@@ -119,16 +119,33 @@ def fmt_table(value: Fraction) -> str:
 
 
 def _emit(text: str, output: str | None):
+    """Write a command's result to stdout, or to ``output`` once it is
+    complete; an output file that cannot be written is a usage error."""
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write output file {output!r}: {exc.strerror}")
     else:
         click.echo(text, nl=False)
 
 
+def _read_text(path: str, kind: str) -> str:
+    """The text of an input file, read as UTF-8; a file that cannot be read
+    is an input error (exit 3), like one that cannot be parsed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason} at offset {exc.start})"
+    raise _CodedError(f"cannot read {kind} file {path!r}: {reason}", EXIT_PARSE)
+
+
 def _load_profile(path: str) -> Profile:
-    with open(path) as fh:
-        return parse_profile_text(fh.read())
+    return parse_profile_text(_read_text(path, "profile"))
 
 
 def _load_scoring(literal: str) -> ScoringSpec:
@@ -137,13 +154,7 @@ def _load_scoring(literal: str) -> ScoringSpec:
     if literal == "lex":
         return ScoringSpec.lexicographic()
     if literal.startswith("custom:"):
-        path = literal.split(":", 1)[1]
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise _CodedError(f"cannot read scoring file {path!r}: {exc.strerror}", EXIT_PARSE)
-        return parse_scoring_text(text)
+        return parse_scoring_text(_read_text(literal.split(":", 1)[1], "scoring"))
     raise click.UsageError(f"unknown scoring literal {literal!r}")
 
 
@@ -381,12 +392,6 @@ def tables(table_id, max_m, max_n, jobs, budget, fmt, output):
 # manipulate
 
 
-def _load_others(path: str) -> tuple[Ranking, ...]:
-    with open(path) as fh:
-        profile = parse_profile_text(fh.read())
-    return profile.rankings
-
-
 @cli.command()
 @click.option("--others", "others_path", type=click.Path(exists=True), default=None,
               help="Rankings of agents 2..n, one line each.")
@@ -431,7 +436,7 @@ def manipulate(others_path, target_literal, optimal, profile_path, scoring_liter
     else:
         if others_path is None or target_literal is None:
             raise click.UsageError("provide --others and --target, or --optimal with --profile")
-        others = _load_others(others_path)
+        others = _load_profile(others_path).rankings
         target = frozenset(int(tok) for tok in target_literal.split(",") if tok.strip())
         problem = ManipulationProblem(others, target)
         strategy = find_successful_strategy(problem, rng)

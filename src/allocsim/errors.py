@@ -20,8 +20,9 @@ class ProfileParseError(ValueError):
 
 
 class PolicyViolationError(RuntimeError):
-    """A reporter-selection policy broke the protocol contract
-    (empty or out-of-range reporter set while objects remain)."""
+    """A policy broke the protocol contract: a reporter set that is empty or
+    out of range while objects remain, or a turn sequence that does not fit
+    the objects and agents it is played with."""
 
 
 class BudgetExceededError(RuntimeError):

@@ -303,7 +303,6 @@ def brute_force_manipulation(
     problem: ManipulationProblem,
     g: ScoringSpec,
     ranking: Ranking | None = None,
-    limit: int = DEFAULT_BRUTE_FORCE_LIMIT,
 ) -> tuple[bool, Fraction, Strategy | None]:
     """Exhaustive search over all well-defined report sequences.
 
@@ -315,8 +314,10 @@ def brute_force_manipulation(
     if not problem.others:
         raise ValueError("brute force needs at least one truthful opponent")
     m = problem.m
-    if m > limit:
-        raise BudgetExceededError(f"brute force limited to m <= {limit}", estimated=m, budget=limit)
+    if m > DEFAULT_BRUTE_FORCE_LIMIT:
+        raise BudgetExceededError(
+            f"brute force limited to m <= {DEFAULT_BRUTE_FORCE_LIMIT}", estimated=m, budget=DEFAULT_BRUTE_FORCE_LIMIT
+        )
     if ranking is None:
         ranking = Ranking(tuple(range(1, m + 1)))
     row = g.score_row(m)

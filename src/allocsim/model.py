@@ -300,8 +300,6 @@ class ProfileStream:
 def enumerate_profiles(m: int, n: int, reduce_symmetry: bool = False) -> ProfileStream:
     """Stream every preference profile (or one representative per object
     relabeling class when ``reduce_symmetry`` is set) with its weight."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must both be at least 1")
     return ProfileStream(m, n, reduce_symmetry)
 
 
@@ -309,17 +307,14 @@ def enumerate_profiles(m: int, n: int, reduce_symmetry: bool = False) -> Profile
 # Text formats
 
 
-def parse_profile_text(text: str, m: int | None = None, n: int | None = None) -> Profile:
+def parse_profile_text(text: str) -> Profile:
     """Parse the profile file format: one line per agent, each line the agent's
     object indices from best to worst."""
     rankings = []
-    lines = [ln for ln in text.splitlines()]
-    row = 0
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        row += 1
         try:
             values = tuple(int(tok) for tok in stripped.split())
         except ValueError:
@@ -330,12 +325,7 @@ def parse_profile_text(text: str, m: int | None = None, n: int | None = None) ->
             raise ProfileParseError(str(exc), lineno)
     if not rankings:
         raise ProfileParseError("no rankings found in profile input")
-    profile = Profile(tuple(rankings))
-    if m is not None and profile.m != m:
-        raise ProfileParseError(f"profile ranks {profile.m} objects, expected {m}")
-    if n is not None and profile.n != n:
-        raise ProfileParseError(f"profile has {profile.n} agents, expected {n}")
-    return profile
+    return Profile(tuple(rankings))
 
 
 def parse_scoring_text(text: str) -> ScoringSpec:

@@ -140,9 +140,6 @@ class FromSequential(ParallelPolicy):
     def advance(self, state, reporters, losers):
         return state + 1
 
-    def describe(self) -> str:
-        return self.literal
-
 
 class CustomPolicy(ParallelPolicy):
     """A policy given as an arbitrary function of the full stage history.

@@ -9,6 +9,10 @@ of the set of steps at which the agent picks, and is what makes exhaustive
 policy search affordable.  The test suite pins it, exactly, to an
 independent per-profile pass over the same profile stream
 (``profile_aggregates`` of the turn sequence as a parallel policy).
+
+A turn sequence fits m objects and n agents when it has m turns and names no
+agent above n.  Every function here and in :mod:`allocsim.welfare` that plays
+a given sequence refuses a misfit through :meth:`SequentialPolicy.check_fit`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, PolicyViolationError
 from .model import Profile, ScoringSpec
 
 __all__ = [
@@ -75,6 +79,12 @@ class SequentialPolicy:
     def max_agent(self) -> int:
         return max(self.turns)
 
+    def check_fit(self, m: int, n: int) -> None:
+        """Refuse play with ``m`` objects and ``n`` agents unless the sequence
+        has ``m`` turns and names no agent above ``n``."""
+        if self.m != m or self.max_agent > n:
+            raise PolicyViolationError(f"turn sequence {self.literal()} does not fit m={m} objects and n={n} agents")
+
     def positions(self, agent: int) -> frozenset[int]:
         """Steps (1-based) at which ``agent`` picks."""
         return frozenset(k for k, t in enumerate(self.turns, start=1) if t == agent)
@@ -103,17 +113,10 @@ class SequentialHistory:
     picks: tuple[tuple[int, int], ...]
 
 
-def _check_policy(pi: SequentialPolicy, profile: Profile) -> None:
-    if pi.m != profile.m:
-        raise ValueError(f"policy has {pi.m} turns but there are {profile.m} objects")
-    if pi.max_agent > profile.n:
-        raise ValueError(f"policy names agent {pi.max_agent} but there are {profile.n} agents")
-
-
 def simulate_sequential(pi: SequentialPolicy, profile: Profile) -> SequentialHistory:
     """Truthful run: at each step the designated agent takes her best
     remaining object."""
-    _check_policy(pi, profile)
+    pi.check_fit(profile.m, profile.n)
     orders = profile.order_rows()
     taken = [False] * (profile.m + 1)
     ptr = [0] * profile.n
@@ -192,8 +195,7 @@ def expected_utility_sequential(
     """Expected utility of ``agent`` under full independence (exact rational)."""
     if n is None:
         n = pi.max_agent
-    if n < pi.max_agent:
-        raise ValueError(f"policy names agent {pi.max_agent} but n={n}")
+    pi.check_fit(pi.m, n)
     if not 1 <= agent <= n:
         raise ValueError(f"agent {agent} out of range 1..{n}")
     picks = pi.positions(agent)
@@ -252,7 +254,6 @@ def optimal_sequential(
     n: int,
     g: ScoringSpec,
     aggregator: Aggregator,
-    budget_sequences: int = DEFAULT_SEARCH_BUDGET,
 ) -> tuple[SequentialPolicy, Fraction]:
     """Exhaustive argmax of expected welfare over all ``n**m`` turn sequences.
 
@@ -262,12 +263,12 @@ def optimal_sequential(
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
-    if n**m > budget_sequences:
+    if n**m > DEFAULT_SEARCH_BUDGET:
         raise BudgetExceededError(
-            f"search space {n}^{m} exceeds the budget of {budget_sequences} sequences "
+            f"search space {n}^{m} exceeds the budget of {DEFAULT_SEARCH_BUDGET} sequences "
             f"(0 evaluated); raise the budget to force the search",
             estimated=n**m,
-            budget=budget_sequences,
+            budget=DEFAULT_SEARCH_BUDGET,
         )
     score_row = g.score_row(m)
     best: tuple[Fraction, tuple[int, ...]] | None = None

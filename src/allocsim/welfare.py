@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BudgetExceededError, PolicyViolationError
+from .errors import BudgetExceededError
 from .model import Profile, ScoringSpec, enumerate_profiles
 from .parallel import (
     AllReporting,
@@ -91,10 +91,13 @@ BUDGET_ENV_VAR = "ALLOC_BUDGET_SECS"
 
 def resolve_budget_units(budget_secs: float | None = None) -> int:
     """Deterministic work-unit cap (one unit is roughly one stage of one
-    profile evaluation).  ``ALLOC_BUDGET_SECS`` overrides the default."""
+    profile evaluation).  ``ALLOC_BUDGET_SECS`` overrides the default.  The
+    seconds must be finite and at least 0; 0 means one unit."""
     if budget_secs is None:
         raw = os.environ.get(BUDGET_ENV_VAR)
         budget_secs = float(raw) if raw else DEFAULT_BUDGET_SECS
+    if not 0 <= budget_secs < math.inf:
+        raise ValueError(f"budget (--budget or {BUDGET_ENV_VAR}) must be finite seconds >= 0, got {budget_secs}")
     return max(1, int(budget_secs * UNITS_PER_SECOND))
 
 
@@ -182,7 +185,9 @@ class ProfileAggregates:
 
 def _chunk_stats(orders_iter, evaluate, n: int, scale: int):
     """Accumulate the raw statistics of one chunk in integers: ``scale``
-    times every utility sum and minimum, exactly."""
+    times every utility sum and minimum, exactly.  A chunk is never empty:
+    :meth:`ProfileStream.partition` drops empty windows, and the orbit filter
+    keeps each window's item whose later rankings equal the leading one."""
     count = 0
     sum_hat = [0] * n
     sum_under = [0] * n
@@ -203,8 +208,6 @@ def _chunk_stats(orders_iter, evaluate, n: int, scale: int):
                 min_under[i] = u
         sum_min_hat += min(hat) * weight
         sum_min_under += min(under) * weight
-    if count == 0:
-        return None
     return scale, count, sum_hat, min_hat, sum_under, min_under, sum_min_hat, sum_min_under
 
 
@@ -234,16 +237,14 @@ def _compute_chunk(task):
     if not isinstance(policy, (AllReporting, LoserReporting)):
         return _stats_for_chunk(rows, policy, g, stream.m, stream.n)
     stats = _stats_for_chunk(_sorted_others(rows), policy, g, stream.m, stream.n)
-    return stats and stats[:2] + tuple(per_agent[:1] * stream.n for per_agent in stats[2:6]) + stats[6:]
+    return stats[:2] + tuple(per_agent[:1] * stream.n for per_agent in stats[2:6]) + stats[6:]
 
 
 def _check_fit(policy: ParallelPolicy, m: int, n: int) -> None:
-    """Refuse a turn sequence that does not have m turns or names an agent
-    above n.  Each route checks this once, before any budget."""
+    """Refuse a turn sequence that does not fit m objects and n agents.  Each
+    route checks this once, before any budget."""
     if isinstance(policy, FromSequential):
-        pi = policy.policy
-        if pi.m != m or pi.max_agent > n:
-            raise PolicyViolationError(f"turn sequence {pi.literal()} does not fit m={m} objects and n={n} agents")
+        policy.policy.check_fit(m, n)
 
 
 def _stats_for_chunk(orders_iter, policy, g, m, n):
@@ -279,9 +280,6 @@ def _stats_for_chunk(orders_iter, policy, g, m, n):
 
 def _merge_stats(parts):
     """Sum the chunks' integer statistics in order, then divide once."""
-    parts = [p for p in parts if p is not None]
-    if not parts:
-        raise ValueError("empty profile stream")
     scale = parts[0][0]
     n = len(parts[0][2])
 
@@ -618,6 +616,8 @@ def optimal_sequential_expected_min(
     """Argmax of the expected per-profile minimum utility over all turn
     sequences (canonical representatives, lexicographic tie-break).  Each
     candidate's profile pass runs in-process."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must both be at least 1")
     budget = _within_budget(n**m * math.factorial(m) ** (n - 1) * m, budget_units, "search needs about")
     best: tuple[Fraction, tuple[int, ...]] | None = None
     for turns in canonical_turn_sequences(m, n):

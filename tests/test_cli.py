@@ -88,7 +88,8 @@ class TestSimulate:
 def _bad_inputs():
     """Inputs that must end in a documented exit code.  ``{two}`` is a
     3-object, 2-agent profile: ``seq:123`` names an agent it lacks, and
-    ``seq:1212`` and ``seq:12`` have the wrong number of turns."""
+    ``seq:1212`` and ``seq:12`` have the wrong number of turns.  ``{dir}`` is
+    a directory and ``{latin}`` a profile that is not UTF-8 text."""
     cases = []
     for policy in ("seq:123", "seq:1212", "seq:12"):
         for fmt in ("text", "json", "csv"):
@@ -115,15 +116,46 @@ def _bad_inputs():
         cases.append(pytest.param(
             ["eval", "--policy", "seq:123456789", "-m", "9", "-n", "3", "--criterion", criterion], 5,
             id=f"eval-space-seq:123456789-m9-{criterion}"))
+    # An input file that exists but cannot be read as text is an input error.
+    cases += [
+        pytest.param(["simulate", "--policy", "all", "--profile", "{dir}"], 3, id="simulate-profile-dir"),
+        pytest.param(["eval", "--policy", "all", "--profile", "{dir}"], 3, id="eval-profile-dir"),
+        pytest.param(["manipulate", "--others", "{dir}", "--target", "1"], 3, id="manipulate-others-dir"),
+        pytest.param(["manipulate", "--optimal", "--profile", "{dir}"], 3, id="manipulate-optimal-profile-dir"),
+        pytest.param(["simulate", "--policy", "all", "--profile", "{latin}"], 3, id="simulate-profile-not-utf8"),
+        pytest.param(["eval", "--policy", "all", "--profile", "{latin}"], 3, id="eval-profile-not-utf8"),
+        pytest.param(["manipulate", "--others", "{latin}", "--target", "1"], 3, id="manipulate-others-not-utf8"),
+    ]
+    # Usage errors: an output file that cannot be written, a budget that is
+    # not a finite number of seconds >= 0, and a search over no agents.
+    cases += [
+        pytest.param(["eval", "-m", "2", "-n", "2", "--policy", "all", "--output", "{dir}/missing/out.txt"], 2,
+                     id="output-in-missing-dir"),
+        pytest.param(["tables", "--id", "1", "--max-m", "4", "--max-n", "2", "--output", "{dir}"], 2,
+                     id="output-onto-dir"),
+    ]
+    for budget in ("inf", "nan", "-1"):
+        cases.append(pytest.param(
+            ["eval", "-m", "2", "-n", "2", "--policy", "all", "--budget", budget], 2, id=f"budget-{budget}"))
+    cases.append(pytest.param(["optimal-seq", "-m", "3", "-n", "0", "--criterion", "em-u"], 2,
+                              id="optimal-seq-n0-em-u"))
     return cases
 
 
 class TestExitCodes:
     @pytest.mark.parametrize("args, code", _bad_inputs())
     def test_bad_input_exits_without_traceback(self, args, code, tmp_path):
-        paths = {"two": tmp_path / "two.txt", "bad": tmp_path / "bad.txt", "missing": tmp_path / "missing.txt"}
+        paths = {
+            "two": tmp_path / "two.txt",
+            "bad": tmp_path / "bad.txt",
+            "missing": tmp_path / "missing.txt",
+            "dir": tmp_path / "dir",
+            "latin": tmp_path / "latin.txt",
+        }
         paths["two"].write_text("1 2 3\n3 2 1\n")
         paths["bad"].write_text("1 2 3\n1 oops 3\n")
+        paths["dir"].mkdir()
+        paths["latin"].write_bytes("# préférences\n1 2 3\n3 2 1\n".encode("latin-1"))
         proc = subprocess.run(
             [sys.executable, "-m", "allocsim.cli", *(a.format(**paths) for a in args)],
             capture_output=True,
@@ -132,6 +164,24 @@ class TestExitCodes:
         assert proc.returncode in (2, 3, 4, 5), proc.stderr
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("Error:") == 1, proc.stderr
+
+    @pytest.mark.parametrize("secs", ["inf", "-5"])
+    def test_budget_env_var_outside_range_is_2(self, secs, monkeypatch):
+        monkeypatch.setenv("ALLOC_BUDGET_SECS", secs)
+        proc = subprocess.run(
+            [sys.executable, "-m", "allocsim.cli", "tables", "--id", "1", "--max-m", "4", "--max-n", "2"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"got {float(secs)}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_failed_command_writes_no_output_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        run_cli("eval", "-m", "2", "-n", "2", "--policy", "seq:123", "--output", str(target), expect_code=5)
+        assert not target.exists()
 
     def test_usage_error_is_2(self, profile_file):
         run_cli("eval", "--policy", "nonsense", "-m", "2", "-n", "2", expect_code=2)

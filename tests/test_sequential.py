@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from allocsim.errors import BudgetExceededError
+from allocsim.errors import BudgetExceededError, PolicyViolationError
 from allocsim.model import Profile, Ranking, ScoringSpec, identity_ranking
 from allocsim.parallel import FromSequential
 from allocsim.sequential import (
@@ -18,7 +18,7 @@ from allocsim.sequential import (
     realized_utilities,
     simulate_sequential,
 )
-from allocsim.welfare import profile_aggregates
+from allocsim.welfare import evaluate_criterion, parse_criterion, profile_aggregates, profile_utilities
 
 PI = SequentialPolicy.from_literal("seq:12332")
 
@@ -57,10 +57,30 @@ class TestSimulate:
         assert history.picks == ((1, 2), (1, 1))
 
     def test_length_mismatch(self, example_profile):
-        with pytest.raises(ValueError):
+        with pytest.raises(PolicyViolationError):
             simulate_sequential(SequentialPolicy((1, 2)), example_profile)
-        with pytest.raises(ValueError):
+        with pytest.raises(PolicyViolationError):
             simulate_sequential(SequentialPolicy((1, 4, 1, 1, 1)), example_profile)
+
+    @pytest.mark.parametrize("literal", ["seq:12", "seq:12341"])
+    def test_misfit_raises_one_error_everywhere(self, literal, example_profile, borda):
+        # One fit rule serves the simulator, the positions DP and every
+        # welfare route, with one message.  The positions DP sees no object
+        # count, so only the agent misfit reaches it.
+        pi = SequentialPolicy.from_literal(literal)
+        calls = [
+            lambda: simulate_sequential(pi, example_profile),
+            lambda: realized_utilities(pi, example_profile, borda),
+            lambda: profile_utilities(FromSequential(pi), example_profile, borda),
+            lambda: evaluate_criterion(parse_criterion("uuu"), FromSequential(pi), borda, 5, 3),
+            lambda: evaluate_criterion(parse_criterion("em-u"), FromSequential(pi), borda, 5, 3),
+        ]
+        if pi.max_agent > 3:
+            calls.append(lambda: expected_utility_sequential(pi, borda, 1, n=3))
+        for call in calls:
+            with pytest.raises(PolicyViolationError) as info:
+                call()
+            assert str(info.value) == f"turn sequence {pi.literal()} does not fit m=5 objects and n=3 agents"
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 2)])
     def test_every_object_allocated_once(self, m, n):
