@@ -60,10 +60,8 @@ from .welfare import (
     evaluate_criterion,
     expected_min_welfare,
     parse_criterion,
-    per_profile_welfare,
     profile_utilities,
     reproduce_table,
-    social_welfare,
 )
 from .manipulation import (
     ManipulationProblem,

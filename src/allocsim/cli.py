@@ -20,7 +20,7 @@ import click
 
 from . import __version__
 from .errors import BudgetExceededError, PolicyViolationError, ProfileParseError, StrategyError
-from .model import Profile, Ranking, ScoringSpec, parse_profile_text, parse_scoring_text
+from .model import Profile, ScoringSpec, identity_ranking, parse_profile_text, parse_scoring_text
 from .parallel import (
     STOP,
     FromSequential,
@@ -33,6 +33,7 @@ from .sequential import Aggregator, optimal_sequential, simulate_sequential
 from .manipulation import (
     ManipulationProblem,
     brute_force_manipulation,
+    bundle_score,
     find_successful_strategy,
     has_successful_strategy,  # unused here; bench/tracer.py wraps it in this module
     optimal_pessimistic_strategy,
@@ -41,7 +42,6 @@ from .welfare import (
     evaluate_criterion,
     optimal_sequential_expected_min,
     parse_criterion,
-    per_profile_welfare,
     profile_utilities,
     reproduce_table,
     resolve_budget_units,
@@ -282,8 +282,9 @@ def eval_cmd(m, n, policy_literal, scoring_literal, criterion_literal, profile_p
     if profile_path is not None:
         profile = _load_profile(profile_path)
         _warn_small_m(profile.m, profile.n)
+        expected, guaranteed = profile_utilities(policy, profile, g)
         x = criterion.x if criterion.mode == "comp" else "e"
-        value = per_profile_welfare(x, criterion.z, policy, profile, g)
+        value = Aggregator(x).apply(expected if criterion.z == "u" else guaranteed)
         scope = "profile"
     else:
         if m is None or n is None:
@@ -441,10 +442,8 @@ def manipulate(others_path, target_literal, optimal, profile_path, scoring_liter
         problem = ManipulationProblem(others, target)
         strategy = find_successful_strategy(problem, rng)
         feasible = strategy is not None
-        m = others[0].m
-        ranking = Ranking(tuple(range(1, m + 1)))
-        row = g.score_row(m)
-        value = sum((row[ranking.rank_of(o)] for o in target), Fraction(0)) if feasible else Fraction(0)
+        ranking = identity_ranking(others[0].m)
+        value = bundle_score(g.score_row(ranking.m), ranking, target if feasible else ())
         result = {
             "feasible": feasible,
             "strategy": list(strategy.reports) if strategy else None,

@@ -23,10 +23,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, StrategyError
-from .model import Profile, Ranking, ScoringSpec
+from .model import Profile, Ranking, ScoringSpec, identity_ranking
 
 __all__ = [
     "better",
@@ -40,10 +40,17 @@ __all__ = [
     "pessimistic_utility",
     "sincere_strategy",
     "brute_force_manipulation",
+    "bundle_score",
     "secured_objects",
 ]
 
 DEFAULT_BRUTE_FORCE_LIMIT = 6
+
+
+def bundle_score(row: Sequence[Fraction], ranking: Ranking, objects: Iterable[int]) -> Fraction:
+    """Total score of ``objects`` to an agent with ``ranking``, where ``row``
+    is the score row (:meth:`ScoringSpec.score_row`)."""
+    return sum((row[ranking.rank_of(o)] for o in objects), Fraction(0))
 
 
 def better(ranking: Ranking, candidates: frozenset[int] | set[int], benchmark: frozenset[int] | set[int]) -> frozenset[int]:
@@ -224,14 +231,9 @@ def pessimistic_utility(strategy: Strategy, profile: Profile, g: ScoringSpec) ->
     Validates well-definedness of the strategy against agents 2..n and sums
     the scores of her uncontested reports.
     """
-    others = profile.rankings[1:]
-    ranking = profile.rankings[0]
     row = g.score_row(profile.m)
-    total = Fraction(0)
-    for obj, uncontested in _simulate_reports(strategy, others, m=profile.m):
-        if uncontested:
-            total += row[ranking.rank_of(obj)]
-    return total
+    plays = _simulate_reports(strategy, profile.rankings[1:], m=profile.m)
+    return bundle_score(row, profile.rankings[0], (o for o, uncontested in plays if uncontested))
 
 
 def sincere_strategy(profile: Profile) -> Strategy:
@@ -262,25 +264,20 @@ def optimal_pessimistic_strategy(
     all worse ranks combined; for other scorings the result is a guaranteed
     (not necessarily optimal) bundle.
     """
+    mine = profile.rankings[0]
     if profile.n < 2:
-        reports = tuple(profile.rankings[0].order)
-        achieved = frozenset(reports)
-        row = g.score_row(profile.m)
-        return Strategy(reports), achieved, sum(
-            (row[profile.rankings[0].rank_of(o)] for o in achieved), Fraction(0)
-        )
-    others = profile.rankings[1:]
-    achieved: frozenset[int] = frozenset()
-    strategy = find_successful_strategy(ManipulationProblem(others, frozenset()), rng)
-    for obj in profile.rankings[0].order:
-        candidate = achieved | {obj}
-        attempt = find_successful_strategy(ManipulationProblem(others, candidate), rng)
-        if attempt is not None:
-            strategy = attempt
-            achieved = candidate
-    row = g.score_row(profile.m)
-    value = sum((row[profile.rankings[0].rank_of(o)] for o in achieved), Fraction(0))
-    return strategy, achieved, value
+        strategy, achieved = Strategy(mine.order), frozenset(mine.order)
+    else:
+        others = profile.rankings[1:]
+        achieved = frozenset()
+        strategy = find_successful_strategy(ManipulationProblem(others, frozenset()), rng)
+        for obj in mine.order:
+            candidate = achieved | {obj}
+            attempt = find_successful_strategy(ManipulationProblem(others, candidate), rng)
+            if attempt is not None:
+                strategy = attempt
+                achieved = candidate
+    return strategy, achieved, bundle_score(g.score_row(profile.m), mine, achieved)
 
 
 def _play_states(others: Sequence[Ranking], m: int) -> Iterator:
@@ -319,13 +316,13 @@ def brute_force_manipulation(
             f"brute force limited to m <= {DEFAULT_BRUTE_FORCE_LIMIT}", estimated=m, budget=DEFAULT_BRUTE_FORCE_LIMIT
         )
     if ranking is None:
-        ranking = Ranking(tuple(range(1, m + 1)))
+        ranking = identity_ranking(m)
     row = g.score_row(m)
     exists = False
     witness: Strategy | None = None
     best_value = Fraction(0)
     for reports, secured in _play_states(problem.others, m):
-        value = sum((row[ranking.rank_of(o)] for o in secured), Fraction(0))
+        value = bundle_score(row, ranking, secured)
         if value > best_value:
             best_value = value
         if problem.target <= secured and not exists:

@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PolicyViolationError
 from .model import Profile, ScoringSpec
@@ -204,6 +204,15 @@ def expected_utility_sequential(
     return _expected_score_for_positions(pi.m, g.score_row(pi.m), picks)
 
 
+def _expected_utilities(turns: Sequence[int], n: int, score_row: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Expected utility of every agent 1..n under a turn sequence whose fit
+    the caller has checked."""
+    picks: list[set[int]] = [set() for _ in range(n)]
+    for step, t in enumerate(turns, start=1):
+        picks[t - 1].add(step)
+    return tuple(_expected_score_for_positions(len(turns), score_row, frozenset(p)) for p in picks)
+
+
 def expected_welfare_sequential(
     pi: SequentialPolicy,
     g: ScoringSpec,
@@ -213,8 +222,8 @@ def expected_welfare_sequential(
     """Aggregate of the n expected utilities."""
     if n is None:
         n = pi.max_agent
-    values = [expected_utility_sequential(pi, g, i, n=n) for i in range(1, n + 1)]
-    return aggregator.apply(values)
+    pi.check_fit(pi.m, n)
+    return aggregator.apply(_expected_utilities(pi.turns, n, g.score_row(pi.m)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +258,21 @@ def canonical_turn_sequences(m: int, n: int) -> Iterator[tuple[int, ...]]:
     yield from rec([], 0)
 
 
+def _best_sequence(
+    candidates: Iterable[tuple[int, ...]], value_of: Callable[[tuple[int, ...]], Fraction]
+) -> tuple[SequentialPolicy, Fraction]:
+    """The candidate of highest value, with that value.  A tie keeps the
+    earlier candidate, so candidates in lexicographic order break ties to the
+    smallest sequence."""
+    best: tuple[Fraction, tuple[int, ...]] | None = None
+    for turns in candidates:
+        value = value_of(turns)
+        if best is None or value > best[0]:
+            best = (value, turns)
+    assert best is not None
+    return SequentialPolicy(best[1]), best[0]
+
+
 def optimal_sequential(
     m: int,
     n: int,
@@ -271,17 +295,7 @@ def optimal_sequential(
             budget=DEFAULT_SEARCH_BUDGET,
         )
     score_row = g.score_row(m)
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-    for turns in canonical_turn_sequences(m, n):
-        positions: dict[int, set[int]] = {}
-        for step, t in enumerate(turns, start=1):
-            positions.setdefault(t, set()).add(step)
-        utilities = [
-            _expected_score_for_positions(m, score_row, frozenset(positions.get(i, ())))
-            for i in range(1, n + 1)
-        ]
-        value = aggregator.apply(utilities)
-        if best is None or value > best[0]:
-            best = (value, turns)
-    assert best is not None
-    return SequentialPolicy(best[1]), best[0]
+    return _best_sequence(
+        canonical_turn_sequences(m, n),
+        lambda turns: aggregator.apply(_expected_utilities(turns, n, score_row)),
+    )

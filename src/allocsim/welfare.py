@@ -13,8 +13,8 @@ Everything here is exact.  Each value's route is chosen from its input
   remaining ranks (:func:`symmetric_aggregates`), without enumerating
   profiles;
 * a turn sequence averaged over profiles (y = u) comes from the positions DP
-  of :func:`allocsim.sequential.expected_utility_sequential`; z does not
-  matter there, since a sequence has one run;
+  of :mod:`allocsim.sequential`; z does not matter there, since a sequence
+  has one run;
 * every other value is one pass over a profile stream with an integer
   per-profile kernel from :mod:`allocsim.parallel`:
   ``all_reporting_values_scaled`` for ``all``, ``sequential_values_scaled``
@@ -24,8 +24,11 @@ Everything here is exact.  Each value's route is chosen from its input
   evaluates one per relabeling of agents 2..n; a single profile
   (:func:`profile_utilities`) is a stream of one item.
 
-A pass collects every statistic any criterion needs as integers times one
-scale.  With ``jobs > 1`` a large enough pass is chunked across one worker
+A pass yields one :class:`ProfileAggregates` record: for each lottery axis,
+every agent's weighted utility sum and minimum over profiles and the weighted
+sum of the per-profile minimum, all integers over one scale, divided only
+when a criterion reads them.  Chunks' records merge by summing in order.
+With ``jobs > 1`` a large enough pass is chunked across one worker
 pool that lives as long as that pass; the chunk reduction is order-fixed and
 exact, so results are bit-identical for any worker count.  A search runs its
 candidates' passes in-process and starts no pool.
@@ -37,7 +40,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -58,8 +61,9 @@ from .parallel import (
 from .sequential import (
     Aggregator,
     SequentialPolicy,
+    _best_sequence,
+    _expected_utilities,
     canonical_turn_sequences,
-    expected_utility_sequential,
     optimal_sequential,
 )
 
@@ -67,10 +71,8 @@ __all__ = [
     "WelfareCriterion",
     "parse_criterion",
     "agent_value",
-    "social_welfare",
     "expected_min_welfare",
     "evaluate_criterion",
-    "per_profile_welfare",
     "profile_utilities",
     "TableRow",
     "TABLE_SPECS",
@@ -161,33 +163,58 @@ def parse_criterion(text: str) -> WelfareCriterion:
 
 @dataclass(frozen=True)
 class ProfileAggregates:
-    """Everything a criterion can ask of one ``(policy, g, m, n)`` pass."""
+    """The exact statistics of one ``(policy, g, m, n)`` pass, or of a chunk
+    of it, as integers over one ``scale``.  For each lottery axis ``z``
+    (``u``: expected utility, ``e``: guaranteed) ``sums[z]`` holds each
+    agent's utility summed over profiles times their weight, ``minima[z]``
+    each agent's minimum over profiles, and ``min_sums[z]`` the weighted sum
+    of the per-profile minimum across agents.  Values divide on read."""
 
+    scale: int
     total_weight: int
-    sum_hat: tuple[Fraction, ...]
-    min_hat: tuple[Fraction, ...]
-    sum_under: tuple[Fraction, ...]
-    min_under: tuple[Fraction, ...]
-    sum_min_hat: Fraction
-    sum_min_under: Fraction
+    sums: dict[str, tuple[int, ...]]
+    minima: dict[str, tuple[int, ...]]
+    min_sums: dict[str, int]
 
     def expected(self, z: str) -> tuple[Fraction, ...]:
-        sums = self.sum_hat if z == "u" else self.sum_under
-        return tuple(s / self.total_weight for s in sums)
+        return tuple(Fraction(s, self.scale * self.total_weight) for s in self.sums[z])
 
     def minimum(self, z: str) -> tuple[Fraction, ...]:
-        return self.min_hat if z == "u" else self.min_under
+        return tuple(Fraction(v, self.scale) for v in self.minima[z])
 
     def expected_min(self, z: str) -> Fraction:
-        total = self.sum_min_hat if z == "u" else self.sum_min_under
-        return total / self.total_weight
+        return Fraction(self.min_sums[z], self.scale * self.total_weight)
+
+    @classmethod
+    def merge(cls, parts: Sequence["ProfileAggregates"]) -> "ProfileAggregates":
+        """The record of a pass from its chunks' records, summed in order."""
+        return cls(
+            parts[0].scale,
+            sum(p.total_weight for p in parts),
+            {z: tuple(map(sum, zip(*(p.sums[z] for p in parts)))) for z in "ue"},
+            {z: tuple(map(min, zip(*(p.minima[z] for p in parts)))) for z in "ue"},
+            {z: sum(p.min_sums[z] for p in parts) for z in "ue"},
+        )
+
+    def agent_one_for_all(self) -> "ProfileAggregates":
+        """The record with agent 1's sums and minima reported for every agent.
+        Over one profile per orbit of agents 2..n these are agent 1's alone;
+        over the whole profile space every agent's agree with them when the
+        policy treats agents alike."""
+        n = len(self.sums["u"])
+        return replace(
+            self,
+            sums={z: s[:1] * n for z, s in self.sums.items()},
+            minima={z: v[:1] * n for z, v in self.minima.items()},
+        )
 
 
-def _chunk_stats(orders_iter, evaluate, n: int, scale: int):
-    """Accumulate the raw statistics of one chunk in integers: ``scale``
-    times every utility sum and minimum, exactly.  A chunk is never empty:
-    :meth:`ProfileStream.partition` drops empty windows, and the orbit filter
-    keeps each window's item whose later rankings equal the leading one."""
+def _chunk_stats(orders_iter, evaluate, n: int, scale: int) -> ProfileAggregates:
+    """Accumulate the statistics of one chunk in integers: ``scale`` times
+    every utility sum and minimum, exactly.  A chunk is never empty:
+    :meth:`ProfileStream.partition` drops empty windows, and the orbit walk
+    yields, for each leading ranking of a window, the item whose later
+    rankings all equal it."""
     count = 0
     sum_hat = [0] * n
     sum_under = [0] * n
@@ -208,22 +235,36 @@ def _chunk_stats(orders_iter, evaluate, n: int, scale: int):
                 min_under[i] = u
         sum_min_hat += min(hat) * weight
         sum_min_under += min(under) * weight
-    return scale, count, sum_hat, min_hat, sum_under, min_under, sum_min_hat, sum_min_under
+    return ProfileAggregates(
+        scale,
+        count,
+        {"u": tuple(sum_hat), "e": tuple(sum_under)},
+        {"u": tuple(min_hat), "e": tuple(min_under)},
+        {"u": sum_min_hat, "e": sum_min_under},
+    )
 
 
-def _sorted_others(rows):
-    """One item per orbit of ``rows`` under relabeling agents 2..n: the items
-    whose later rankings are non-decreasing, each weighted by the number of
-    distinct orders of those rankings."""
-    for orders, w in rows:
-        ways = run = 1
-        for k in range(2, len(orders)):
-            if orders[k] < orders[k - 1]:
-                break
-            run = run + 1 if orders[k] == orders[k - 1] else 1
-            ways = ways * k // run
-        else:
-            yield orders, w * ways
+def _sorted_others(stream):
+    """One item per orbit of the reduced ``stream`` under relabeling agents
+    2..n: the items whose later rankings are non-decreasing, each weighted by
+    the number of distinct orders of those rankings.  Only these items are
+    walked: agent 2's ranking runs over the stream's window, each later one
+    from the ranking before it."""
+    if stream.n <= 2:
+        yield from stream.iter_order_rows()  # every item is its own orbit
+        return
+    rankings = tuple(itertools.permutations(range(1, stream.m + 1)))
+    weight = stream.item_weight
+    for lead in range(stream.lo, stream.hi):
+        head = (rankings[0], rankings[lead])
+        for rest in itertools.combinations_with_replacement(range(lead, len(rankings)), stream.n - 2):
+            ways = run = 1
+            before = lead
+            for k, index in enumerate(rest, start=2):
+                run = run + 1 if index == before else 1
+                ways = ways * k // run
+                before = index
+            yield head + tuple(map(rankings.__getitem__, rest)), weight * ways
 
 
 def _compute_chunk(task):
@@ -233,11 +274,9 @@ def _compute_chunk(task):
     agent 1's values and the per-profile minimum) and report agent 1's
     statistics for every agent, as over the whole profile space they agree."""
     stream, policy, g = task
-    rows = stream.iter_order_rows()
     if not isinstance(policy, (AllReporting, LoserReporting)):
-        return _stats_for_chunk(rows, policy, g, stream.m, stream.n)
-    stats = _stats_for_chunk(_sorted_others(rows), policy, g, stream.m, stream.n)
-    return stats[:2] + tuple(per_agent[:1] * stream.n for per_agent in stats[2:6]) + stats[6:]
+        return _stats_for_chunk(stream.iter_order_rows(), policy, g, stream.m, stream.n)
+    return _stats_for_chunk(_sorted_others(stream), policy, g, stream.m, stream.n).agent_one_for_all()
 
 
 def _check_fit(policy: ParallelPolicy, m: int, n: int) -> None:
@@ -278,25 +317,6 @@ def _stats_for_chunk(orders_iter, policy, g, m, n):
     )
 
 
-def _merge_stats(parts):
-    """Sum the chunks' integer statistics in order, then divide once."""
-    scale = parts[0][0]
-    n = len(parts[0][2])
-
-    def exact(v: int) -> Fraction:
-        return Fraction(v, scale)
-
-    return ProfileAggregates(
-        sum(p[1] for p in parts),
-        tuple(exact(sum(p[2][i] for p in parts)) for i in range(n)),
-        tuple(exact(min(p[3][i] for p in parts)) for i in range(n)),
-        tuple(exact(sum(p[4][i] for p in parts)) for i in range(n)),
-        tuple(exact(min(p[5][i] for p in parts)) for i in range(n)),
-        exact(sum(p[6] for p in parts)),
-        exact(sum(p[7] for p in parts)),
-    )
-
-
 def worker_count(jobs: int, cpus: int | None) -> int:
     """Worker processes for ``jobs``: never more than the CPU count."""
     if jobs < 1:
@@ -326,14 +346,16 @@ def profile_aggregates(
     workers = worker_count(jobs, os.cpu_count())
     _check_fit(policy, m, n)
     stream = enumerate_profiles(m, n, reduce_symmetry=True)
-    _within_budget(stream.count * m, budget_units, "enumeration needs about")
+    items = stream.count
+    if isinstance(policy, (AllReporting, LoserReporting)):
+        items = math.comb(math.factorial(m) + n - 2, n - 1)  # sorted rankings of agents 2..n
+    _within_budget(items * m, budget_units, "enumeration needs about")
     built_in = isinstance(policy, (AllReporting, LoserReporting, FromSequential))
     if workers > 1 and built_in and stream.count > 4 * workers:
         tasks = [(chunk, policy, g) for chunk in stream.partition(workers * 4)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_compute_chunk, tasks))
-        return _merge_stats(parts)
-    return _merge_stats([_compute_chunk((stream, policy, g))])
+            return ProfileAggregates.merge(list(pool.map(_compute_chunk, tasks)))
+    return _compute_chunk((stream, policy, g))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +480,7 @@ def _agent_values(
         if m < 1 or n < 1:
             raise ValueError("m and n must both be at least 1")
         _check_fit(policy, m, n)
-        return tuple(expected_utility_sequential(policy.policy, g, agent, n) for agent in range(1, n + 1))
+        return _expected_utilities(policy.policy.turns, n, g.score_row(m))
     stats = profile_aggregates(policy, g, m, n, jobs, budget_units)
     return stats.expected(z) if y == "u" else stats.minimum(z)
 
@@ -479,21 +501,6 @@ def agent_value(
     if not 1 <= agent <= n:
         raise ValueError(f"agent {agent} out of range 1..{n}")
     return _agent_values(y, z, policy, g, m, n, jobs, budget_units)[agent - 1]
-
-
-def social_welfare(
-    criterion: WelfareCriterion,
-    policy: ParallelPolicy,
-    g: ScoringSpec,
-    m: int,
-    n: int,
-    jobs: int = 1,
-    budget_units: int | None = None,
-) -> Fraction:
-    """Compositional social welfare sw(x, y, z) of a policy."""
-    if criterion.mode != "comp":
-        raise ValueError("social_welfare expects a compositional criterion")
-    return evaluate_criterion(criterion, policy, g, m, n, jobs, budget_units)
 
 
 def expected_min_welfare(
@@ -525,31 +532,15 @@ def evaluate_criterion(
     return Aggregator(criterion.x).apply(_agent_values(criterion.y, criterion.z, policy, g, m, n, jobs, budget_units))
 
 
-def _profile_stats(policy: ParallelPolicy, profile: Profile, g: ScoringSpec) -> ProfileAggregates:
-    """The statistics of one profile: a stream of one item through the same
-    kernel, fit check and accumulator as a profile-space pass."""
-    _check_fit(policy, profile.m, profile.n)
-    item = [(profile.order_rows(), 1)]
-    return _merge_stats([_stats_for_chunk(item, policy, g, profile.m, profile.n)])
-
-
 def profile_utilities(
     policy: ParallelPolicy, profile: Profile, g: ScoringSpec
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Per-agent (expected, guaranteed) utilities of one profile."""
-    stats = _profile_stats(policy, profile, g)
+    """Per-agent (expected, guaranteed) utilities of one profile: a stream of
+    one item through the same kernel, fit check and record as a profile
+    pass."""
+    _check_fit(policy, profile.m, profile.n)
+    stats = _stats_for_chunk([(profile.order_rows(), 1)], policy, g, profile.m, profile.n)
     return stats.expected("u"), stats.expected("e")
-
-
-def per_profile_welfare(
-    x: str, z: str, policy: ParallelPolicy, profile: Profile, g: ScoringSpec
-) -> Fraction:
-    """Single-profile welfare, aggregating only the agent and lottery axes.
-
-    This is the fixed-profile counterpart of sw(x, y, z); the profile axis is
-    pinned to the given profile instead of being aggregated.
-    """
-    return Aggregator(x).apply(_profile_stats(policy, profile, g).expected(z))
 
 
 # ---------------------------------------------------------------------------
@@ -619,14 +610,10 @@ def optimal_sequential_expected_min(
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
     budget = _within_budget(n**m * math.factorial(m) ** (n - 1) * m, budget_units, "search needs about")
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-    for turns in canonical_turn_sequences(m, n):
-        policy = FromSequential(SequentialPolicy(turns))
-        value = expected_min_welfare("u", policy, g, m, n, budget_units=budget)
-        if best is None or value > best[0]:
-            best = (value, turns)
-    assert best is not None
-    return SequentialPolicy(best[1]), best[0]
+    return _best_sequence(
+        canonical_turn_sequences(m, n),
+        lambda turns: expected_min_welfare("u", FromSequential(SequentialPolicy(turns)), g, m, n, budget_units=budget),
+    )
 
 
 def _scoring_for(table: TableSpec) -> ScoringSpec:

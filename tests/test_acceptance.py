@@ -45,11 +45,11 @@ from allocsim.manipulation import (
 )
 from allocsim.welfare import (
     expected_min_welfare,
+    evaluate_criterion,
     parse_criterion,
-    per_profile_welfare,
     profile_aggregates,
+    profile_utilities,
     reproduce_table,
-    social_welfare,
 )
 
 BORDA = ScoringSpec.borda()
@@ -182,9 +182,9 @@ def test_criterion_02_parallel_worked_example():
     assert hat[1] == 8 and hat[2] == frac("7.5")
     under = guaranteed_utilities(build_structure(LoserReporting(), EXAMPLE), LEX)
     assert under == (8, 16, 12)
-    at_profile = per_profile_welfare("e", "e", LoserReporting(), EXAMPLE, LEX)
+    at_profile = min(profile_utilities(LoserReporting(), EXAMPLE, LEX)[1])
     assert at_profile == 8  # forced by the exact values above
-    global_min = social_welfare(parse_criterion("eee"), LoserReporting(), LEX, 5, 3, budget_units=BIG_BUDGET)
+    global_min = evaluate_criterion(parse_criterion("eee"), LoserReporting(), LEX, 5, 3, budget_units=BIG_BUDGET)
     assert global_min == 4
     ok(2, "parallel worked example: hat=(4.8333,8,7.5), under=(8,16,12); "
           "reference value 4 reproduced as the all-profiles minimum (fixed-profile min is 8)")

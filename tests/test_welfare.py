@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import allocsim.welfare as welfare
 from allocsim.errors import BudgetExceededError, PolicyViolationError
-from allocsim.model import Profile, Ranking, ScoringSpec, identity_ranking
+from allocsim.model import Profile, Ranking, ScoringSpec, enumerate_profiles, identity_ranking
 from allocsim.parallel import (
     AllReporting,
     CustomPolicy,
@@ -30,10 +31,9 @@ from allocsim.welfare import (
     expected_min_welfare,
     optimal_sequential_expected_min,
     parse_criterion,
-    per_profile_welfare,
     profile_aggregates,
+    profile_utilities,
     reproduce_table,
-    social_welfare,
     symmetric_aggregates,
     worker_count,
 )
@@ -102,38 +102,34 @@ class TestAgentValue:
 
 class TestSocialWelfare:
     def test_utilitarian_all_reporting(self, borda):
-        value = social_welfare(parse_criterion("uuu"), AllReporting(), borda, 5, 3)
+        value = evaluate_criterion(parse_criterion("uuu"), AllReporting(), borda, 5, 3)
         assert close(value, "20.382")
 
     def test_egalitarian_all_reporting(self, borda):
-        value = social_welfare(parse_criterion("euu"), AllReporting(), borda, 4, 2)
+        value = evaluate_criterion(parse_criterion("euu"), AllReporting(), borda, 4, 2)
         assert close(value, "6.146")
 
     def test_global_min_loser_reporting(self, lex):
         # The worst guaranteed utility over every profile and agent: a chain
         # of lost lotteries can push an agent down to her rank-n object but
         # no further, so the value is the rank-3 lexicographic score, 4.
-        value = social_welfare(parse_criterion("eee"), LoserReporting(), lex, 5, 3)
+        value = evaluate_criterion(parse_criterion("eee"), LoserReporting(), lex, 5, 3)
         assert value == 4
-
-    def test_rejects_expected_min_criterion(self, borda):
-        with pytest.raises(ValueError):
-            social_welfare(parse_criterion("em-u"), AllReporting(), borda, 2, 2)
 
     def test_budget_refusal(self, borda):
         # The worst profile (y = e) has no closed form, so it still enumerates.
         with pytest.raises(BudgetExceededError):
-            social_welfare(parse_criterion("ueu"), AllReporting(), borda, 9, 3)
+            evaluate_criterion(parse_criterion("ueu"), AllReporting(), borda, 9, 3)
 
 
 class TestPerProfileWelfare:
     def test_fixed_profile_guaranteed_min(self, example_profile, lex):
         # min over agents of the guaranteed utilities (8, 16, 12)
-        value = per_profile_welfare("e", "e", LoserReporting(), example_profile, lex)
+        value = min(profile_utilities(LoserReporting(), example_profile, lex)[1])
         assert value == 8
 
     def test_fixed_profile_expected_sum(self, example_profile, borda):
-        value = per_profile_welfare("u", "u", AllReporting(), example_profile, borda)
+        value = sum(profile_utilities(AllReporting(), example_profile, borda)[0])
         assert value == Fraction(29, 6) + 8 + Fraction(15, 2)
 
 
@@ -186,15 +182,15 @@ class TestSequentialEmbeddingConsistency:
     def test_welfare_of_embedding_equals_sequential(self, borda, m, n):
         for turns in itertools.product(range(1, n + 1), repeat=m):
             policy = FromSequential(SequentialPolicy(turns))
-            util = social_welfare(parse_criterion("uuu"), policy, borda, m, n)
-            egal = social_welfare(parse_criterion("euu"), policy, borda, m, n)
+            util = evaluate_criterion(parse_criterion("uuu"), policy, borda, m, n)
+            egal = evaluate_criterion(parse_criterion("euu"), policy, borda, m, n)
             expected = profile_aggregates(policy, borda, m, n).expected("u")
             assert util == sum(expected)
             assert egal == min(expected)
 
     def test_spot_check_larger(self, borda):
         policy = FromSequential(SequentialPolicy((1, 2, 3, 1)))
-        value = social_welfare(parse_criterion("uuu"), policy, borda, 4, 3)
+        value = evaluate_criterion(parse_criterion("uuu"), policy, borda, 4, 3)
         assert value == sum(profile_aggregates(policy, borda, 4, 3).expected("u"))
 
 
@@ -274,6 +270,18 @@ class TestQuotientPass:
             symmetric_aggregates(LoserReporting(), borda, 3, 2)
 
 
+def sorted_items(rows):
+    """The items of ``rows`` whose rankings of agents 2..n are non-decreasing,
+    each weighted by the number of distinct orders of those rankings."""
+    for orders, weight in rows:
+        others = orders[1:]
+        if list(others) == sorted(others):
+            ways = math.factorial(len(others))
+            for ranking in set(others):
+                ways //= math.factorial(others.count(ranking))
+            yield orders, weight * ways
+
+
 class TestSymmetrySoundness:
     @pytest.mark.parametrize("kind", ["borda", "lex"])
     @pytest.mark.parametrize("policy_literal", ["all", "loser", "seq"])
@@ -292,6 +300,12 @@ class TestSymmetrySoundness:
             for z in ("u", "e"):
                 assert (reduced.expected(z), reduced.minimum(z), reduced.expected_min(z)) == full[z]
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (1, 3), (3, 2), (3, 3), (4, 3), (3, 4), (2, 5), (2, 6)])
+    def test_orbit_walk_is_the_sorted_part_of_each_chunk(self, m, n):
+        for parts in (1, 3, 8):
+            for chunk in enumerate_profiles(m, n, reduce_symmetry=True).partition(parts):
+                assert list(welfare._sorted_others(chunk)) == list(sorted_items(chunk.iter_order_rows()))
+
     def test_anonymous_pass_evaluates_one_profile_per_orbit(self, borda, monkeypatch):
         calls = []
 
@@ -304,6 +318,21 @@ class TestSymmetrySoundness:
         assert len(calls) == 24 * 25 // 2
         assert all(orders[1] <= orders[2] for orders in calls)
 
+    @pytest.mark.parametrize("policy", [AllReporting(), LoserReporting()], ids=["all", "loser"])
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (3, 4), (2, 5), (4, 2), (5, 1)])
+    def test_budget_estimate_counts_orbit_items(self, borda, policy, m, n):
+        # One unit per object of each profile the pass evaluates.
+        with pytest.raises(BudgetExceededError) as refused:
+            profile_aggregates(policy, borda, m, n, budget_units=0)
+        stream = enumerate_profiles(m, n, reduce_symmetry=True)
+        assert refused.value.estimated == m * sum(1 for _ in welfare._sorted_others(stream))
+
+    def test_orbit_budget_is_exact(self, borda):
+        # comb(4! + 1, 2) = 300 profiles of 4 objects each.
+        profile_aggregates(LoserReporting(), borda, 4, 3, budget_units=1200)
+        with pytest.raises(BudgetExceededError):
+            profile_aggregates(LoserReporting(), borda, 4, 3, budget_units=1199)
+
 
 class TestAllReportingDominance:
     def test_utilitarian_parity_two_agents(self, borda, lex):
@@ -312,19 +341,19 @@ class TestAllReportingDominance:
         for g in (borda, lex):
             for m in (4, 5):
                 _, star = optimal_sequential(m, 2, g, Aggregator.UTILITARIAN)
-                value_all = social_welfare(parse_criterion("uuu"), AllReporting(), g, m, 2)
+                value_all = evaluate_criterion(parse_criterion("uuu"), AllReporting(), g, m, 2)
                 assert value_all == star
 
     def test_utilitarian_strictly_better_three_agents(self, borda):
         for m in (4, 5):
             _, star = optimal_sequential(m, 3, borda, Aggregator.UTILITARIAN)
-            value_all = social_welfare(parse_criterion("uuu"), AllReporting(), borda, m, 3)
+            value_all = evaluate_criterion(parse_criterion("uuu"), AllReporting(), borda, m, 3)
             assert value_all > star
 
     def test_egalitarian_strictly_better(self, borda):
         for m, n in [(4, 2), (5, 2), (4, 3)]:
             _, star = optimal_sequential(m, n, borda, Aggregator.EGALITARIAN)
-            value_all = social_welfare(parse_criterion("euu"), AllReporting(), borda, m, n)
+            value_all = evaluate_criterion(parse_criterion("euu"), AllReporting(), borda, m, n)
             assert value_all > star
 
 
@@ -399,8 +428,8 @@ class TestTables:
 class TestEvaluateCriterion:
     def test_dispatches_both_modes(self, borda):
         policy = AllReporting()
-        assert evaluate_criterion(parse_criterion("uuu"), policy, borda, 2, 2) == social_welfare(
-            parse_criterion("uuu"), policy, borda, 2, 2
+        assert evaluate_criterion(parse_criterion("uuu"), policy, borda, 2, 2) == sum(
+            agent_value(agent, "u", "u", policy, borda, 2, 2) for agent in (1, 2)
         )
         assert evaluate_criterion(parse_criterion("em-u"), policy, borda, 2, 2) == Fraction(7, 4)
 
@@ -455,10 +484,19 @@ class TestPolicyKernelPass:
         with pytest.raises(PolicyViolationError):
             profile_aggregates(CustomPolicy(fn), borda, 3, 3)
 
-    @pytest.mark.parametrize("g", [ScoringSpec.borda(), custom_row(4)], ids=["borda", "custom_row(4)"])
-    def test_loser_pool_equals_serial(self, g, pools):
-        serial = profile_aggregates(LoserReporting(), g, 4, 3, jobs=1)
-        pooled = profile_aggregates(LoserReporting(), g, 4, 3, jobs=2)
+    @pytest.mark.parametrize(
+        "policy,g",
+        [
+            (LoserReporting(), ScoringSpec.borda()),
+            (LoserReporting(), custom_row(4)),
+            (AllReporting(), ScoringSpec.borda()),
+        ],
+        ids=["borda", "custom_row(4)", "all-borda"],
+    )
+    def test_loser_pool_equals_serial(self, policy, g, pools):
+        # The agent-orbit copy is made per chunk, then the chunks merge.
+        serial = profile_aggregates(policy, g, 4, 3, jobs=1)
+        pooled = profile_aggregates(policy, g, 4, 3, jobs=2)
         assert pools == [2]
         assert pooled == serial
 
