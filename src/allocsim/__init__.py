@@ -8,6 +8,11 @@ and contested objects are raffled.  Includes exact expected / guaranteed
 utilities, eight compositional social-welfare criteria plus an expected-min
 criterion, exhaustive optimal-sequence search, and the strategic analysis of
 a single manipulator against truthful opponents.
+
+A turn sequence is a parallel policy with one reporter per stage
+(``FromSequential``): ``build_structure`` plays it on one profile,
+``profile_utilities`` scores that run, and ``agent_value`` and
+``evaluate_criterion`` average it over the profile space like any policy.
 """
 
 __version__ = "0.1.0"
@@ -31,13 +36,8 @@ from .model import (
 )
 from .sequential import (
     Aggregator,
-    SequentialHistory,
     SequentialPolicy,
-    expected_utility_sequential,
-    expected_welfare_sequential,
     optimal_sequential,
-    realized_utilities,
-    simulate_sequential,
 )
 from .parallel import (
     AllocationStructure,

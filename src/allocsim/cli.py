@@ -29,7 +29,7 @@ from .parallel import (
     lottery_expected_utilities,  # unused here; bench/tracer.py wraps it in this module
     parse_policy,
 )
-from .sequential import Aggregator, optimal_sequential, simulate_sequential
+from .sequential import Aggregator, optimal_sequential
 from .manipulation import (
     ManipulationProblem,
     brute_force_manipulation,
@@ -177,18 +177,12 @@ def cli():
 def _stage_records(structure):
     """Depth-grouped node summaries for the trace output."""
     depth = {id(structure.root): 1}
-    order = []
-    queue = [structure.root]
-    seen = {id(structure.root)}
-    while queue:
-        node = queue.pop(0)
-        order.append(node)
+    order = [structure.root]
+    for node in order:  # breadth-first: order is the queue
         for _, target in node.edges:
-            if target is STOP or id(target) in seen:
-                continue
-            seen.add(id(target))
-            depth[id(target)] = depth[id(node)] + 1
-            queue.append(target)
+            if target is not STOP and id(target) not in depth:
+                depth[id(target)] = depth[id(node)] + 1
+                order.append(target)
     records = []
     for node in order:
         contested = {
@@ -226,6 +220,9 @@ def simulate(policy_literal, profile_path, scoring_literal, fmt, output):
         _emit("\n".join(lines) + "\n", output)
         return
     records = _stage_records(build_structure(policy, profile))
+    history = None
+    if isinstance(policy, FromSequential):  # one chain of stages, one demand each
+        history = [[a, o] for rec in records for a, o in rec["demands"].items()]
     if fmt == "json":
         payload = {
             "policy": policy.describe(),
@@ -234,16 +231,13 @@ def simulate(policy_literal, profile_path, scoring_literal, fmt, output):
             "expected": [fmt_auto(v) for v in expected],
             "guaranteed": [fmt_auto(v) for v in guaranteed],
         }
-        if isinstance(policy, FromSequential):
-            history = simulate_sequential(policy.policy, profile)
-            payload["history"] = [[a, o] for a, o in history.picks]
+        if history is not None:
+            payload["history"] = history
         _emit(json.dumps(payload, indent=2) + "\n", output)
         return
     lines = [f"policy {policy.describe()}, scoring {g.describe()}, m={profile.m}, n={profile.n}"]
-    if isinstance(policy, FromSequential):
-        history = simulate_sequential(policy.policy, profile)
-        picks = " ".join(f"<{a},o{o}>" for a, o in history.picks)
-        lines.append(f"history: {picks}")
+    if history is not None:
+        lines.append("history: " + " ".join(f"<{a},o{o}>" for a, o in history))
     for rec in records:
         remaining = ",".join(str(o) for o in rec["remaining"])
         demands = " ".join(f"{a}->o{o}" for a, o in rec["demands"].items())
@@ -438,7 +432,10 @@ def manipulate(others_path, target_literal, optimal, profile_path, scoring_liter
         if others_path is None or target_literal is None:
             raise click.UsageError("provide --others and --target, or --optimal with --profile")
         others = _load_profile(others_path).rankings
-        target = frozenset(int(tok) for tok in target_literal.split(",") if tok.strip())
+        try:
+            target = frozenset(int(tok) for tok in target_literal.split(",") if tok.strip())
+        except ValueError:
+            raise click.UsageError(f"--target must list object indices separated by commas, got {target_literal!r}")
         problem = ManipulationProblem(others, target)
         strategy = find_successful_strategy(problem, rng)
         feasible = strategy is not None

@@ -1,18 +1,21 @@
-"""Sequential picking protocol: truthful simulation, realized and expected
-utilities, expected social welfare, and exhaustive optimal-policy search.
+"""Sequential picking protocol: turn sequences, their expected utilities and
+the exhaustive optimal-sequence search.
 
-Expected utilities come from one route, a per-rank dynamic program over the
-steps at which an agent picks: from one agent's point of view every pick by
-another agent removes a uniformly random remaining object, while her own
-picks remove her best remaining one.  This makes the expectation a function
-of the set of steps at which the agent picks, and is what makes exhaustive
-policy search affordable.  The test suite pins it, exactly, to an
-independent per-profile pass over the same profile stream
+A turn sequence is played and averaged over profiles as a
+parallel policy with one reporter per stage (``FromSequential`` in
+:mod:`allocsim.parallel`, served by :mod:`allocsim.welfare`).  What stays here
+has no parallel counterpart.  Expected utilities come from a per-rank dynamic
+program over the steps at which an agent picks: from one agent's point of
+view every pick by another agent removes a uniformly random remaining object,
+while its own picks remove its best remaining one.  This makes the
+expectation a function of the set of steps at which the agent picks, and is
+what makes exhaustive policy search affordable.  The test suite pins it,
+exactly, to an independent per-profile pass over the same profile stream
 (``profile_aggregates`` of the turn sequence as a parallel policy).
 
 A turn sequence fits m objects and n agents when it has m turns and names no
-agent above n.  Every function here and in :mod:`allocsim.welfare` that plays
-a given sequence refuses a misfit through :meth:`SequentialPolicy.check_fit`.
+agent above n.  Every route that plays a given sequence refuses a misfit
+through :meth:`SequentialPolicy.check_fit`.
 """
 
 from __future__ import annotations
@@ -24,16 +27,11 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PolicyViolationError
-from .model import Profile, ScoringSpec
+from .model import ScoringSpec
 
 __all__ = [
     "Aggregator",
     "SequentialPolicy",
-    "SequentialHistory",
-    "simulate_sequential",
-    "realized_utilities",
-    "expected_utility_sequential",
-    "expected_welfare_sequential",
     "optimal_sequential",
     "canonical_turn_sequences",
     "canonicalize_turns",
@@ -85,10 +83,6 @@ class SequentialPolicy:
         if self.m != m or self.max_agent > n:
             raise PolicyViolationError(f"turn sequence {self.literal()} does not fit m={m} objects and n={n} agents")
 
-    def positions(self, agent: int) -> frozenset[int]:
-        """Steps (1-based) at which ``agent`` picks."""
-        return frozenset(k for k, t in enumerate(self.turns, start=1) if t == agent)
-
     def literal(self) -> str:
         if self.max_agent <= 9:
             return "".join(str(t) for t in self.turns)
@@ -104,44 +98,6 @@ class SequentialPolicy:
                 raise ValueError(f"invalid turn sequence {text!r}")
             turns = tuple(int(ch) for ch in body)
         return cls(turns)
-
-
-@dataclass(frozen=True)
-class SequentialHistory:
-    """The picks of one truthful run: ``(agent, object)`` per step."""
-
-    picks: tuple[tuple[int, int], ...]
-
-
-def simulate_sequential(pi: SequentialPolicy, profile: Profile) -> SequentialHistory:
-    """Truthful run: at each step the designated agent takes her best
-    remaining object."""
-    pi.check_fit(profile.m, profile.n)
-    orders = profile.order_rows()
-    taken = [False] * (profile.m + 1)
-    ptr = [0] * profile.n
-    picks = []
-    for agent in pi.turns:
-        row = orders[agent - 1]
-        p = ptr[agent - 1]
-        while taken[row[p]]:
-            p += 1
-        ptr[agent - 1] = p
-        obj = row[p]
-        taken[obj] = True
-        picks.append((agent, obj))
-    return SequentialHistory(tuple(picks))
-
-
-def realized_utilities(pi: SequentialPolicy, profile: Profile, g: ScoringSpec) -> tuple[Fraction, ...]:
-    """Utility of every agent at one profile under truthful play."""
-    history = simulate_sequential(pi, profile)
-    row = g.score_row(profile.m)
-    ranks = profile.rank_rows()
-    totals = [Fraction(0)] * profile.n
-    for agent, obj in history.picks:
-        totals[agent - 1] += row[ranks[agent - 1][obj]]
-    return tuple(totals)
 
 
 # ---------------------------------------------------------------------------
@@ -186,24 +142,6 @@ def _expected_score_for_positions(
     return total
 
 
-def expected_utility_sequential(
-    pi: SequentialPolicy,
-    g: ScoringSpec,
-    agent: int,
-    n: int | None = None,
-) -> Fraction:
-    """Expected utility of ``agent`` under full independence (exact rational)."""
-    if n is None:
-        n = pi.max_agent
-    pi.check_fit(pi.m, n)
-    if not 1 <= agent <= n:
-        raise ValueError(f"agent {agent} out of range 1..{n}")
-    picks = pi.positions(agent)
-    if not picks:
-        return Fraction(0)
-    return _expected_score_for_positions(pi.m, g.score_row(pi.m), picks)
-
-
 def _expected_utilities(turns: Sequence[int], n: int, score_row: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Expected utility of every agent 1..n under a turn sequence whose fit
     the caller has checked."""
@@ -211,19 +149,6 @@ def _expected_utilities(turns: Sequence[int], n: int, score_row: tuple[Fraction,
     for step, t in enumerate(turns, start=1):
         picks[t - 1].add(step)
     return tuple(_expected_score_for_positions(len(turns), score_row, frozenset(p)) for p in picks)
-
-
-def expected_welfare_sequential(
-    pi: SequentialPolicy,
-    g: ScoringSpec,
-    aggregator: Aggregator,
-    n: int | None = None,
-) -> Fraction:
-    """Aggregate of the n expected utilities."""
-    if n is None:
-        n = pi.max_agent
-    pi.check_fit(pi.m, n)
-    return aggregator.apply(_expected_utilities(pi.turns, n, g.score_row(pi.m)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +214,8 @@ def optimal_sequential(
         raise ValueError("m and n must both be at least 1")
     if n**m > DEFAULT_SEARCH_BUDGET:
         raise BudgetExceededError(
-            f"search space {n}^{m} exceeds the budget of {DEFAULT_SEARCH_BUDGET} sequences "
-            f"(0 evaluated); raise the budget to force the search",
+            f"search space {n}^{m} exceeds the fixed cap of {DEFAULT_SEARCH_BUDGET} turn sequences, "
+            f"which no budget raises",
             estimated=n**m,
             budget=DEFAULT_SEARCH_BUDGET,
         )

@@ -25,13 +25,7 @@ from allocsim.parallel import (
     guaranteed_utilities,
     lottery_expected_utilities,
 )
-from allocsim.sequential import (
-    Aggregator,
-    SequentialPolicy,
-    canonicalize_turns,
-    expected_utility_sequential,
-    expected_welfare_sequential,
-)
+from allocsim.sequential import SequentialPolicy, canonicalize_turns
 from allocsim.manipulation import (
     ManipulationProblem,
     brute_force_manipulation,
@@ -44,6 +38,7 @@ from allocsim.manipulation import (
     sincere_strategy,
 )
 from allocsim.welfare import (
+    agent_value,
     expected_min_welfare,
     evaluate_criterion,
     parse_criterion,
@@ -139,10 +134,10 @@ def check_table(table_id: int, reference: dict, tolerance=None):
         reference_policy = SequentialPolicy.from_literal(ref_pi)
         if canonicalize_turns(row.policy_star.turns) != canonicalize_turns(reference_policy.turns):
             # value tie: the reference sequence must be exactly as good
-            if criterion == "uuu":
-                ref_value = expected_welfare_sequential(reference_policy, g, Aggregator.UTILITARIAN, n=row.n)
-            elif criterion == "euu":
-                ref_value = expected_welfare_sequential(reference_policy, g, Aggregator.EGALITARIAN, n=row.n)
+            if criterion in ("uuu", "euu"):
+                ref_value = evaluate_criterion(
+                    parse_criterion(criterion), FromSequential(reference_policy), g, row.m, row.n
+                )
             else:
                 ref_value = expected_min_welfare(
                     "u", FromSequential(reference_policy), g, row.m, row.n, budget_units=BIG_BUDGET
@@ -155,21 +150,19 @@ def check_table(table_id: int, reference: dict, tolerance=None):
 
 def test_criterion_01_sequential_worked_example():
     """Realized and expected utilities plus welfare for the turn sequence 12332."""
-    from allocsim.sequential import realized_utilities
-
-    assert realized_utilities(PI, EXAMPLE, BORDA) == (5, 9, 7)
-    assert realized_utilities(PI, EXAMPLE, LEX) == (16, 24, 12)
+    assert profile_utilities(FromSequential(PI), EXAMPLE, BORDA)[0] == (5, 9, 7)
+    assert profile_utilities(FromSequential(PI), EXAMPLE, LEX)[0] == (16, 24, 12)
     # expected utilities by explicit enumeration (14400 reduced profiles)
     enum_borda = profile_aggregates(FromSequential(PI), BORDA, 5, 3).expected("u")
     assert enum_borda == (5, Fraction(36, 5), Fraction(15, 2))
-    assert enum_borda == tuple(expected_utility_sequential(PI, BORDA, i, n=3) for i in (1, 2, 3))
+    assert enum_borda == tuple(agent_value(i, "u", "u", FromSequential(PI), BORDA, 5, 3) for i in (1, 2, 3))
     enum_lex = profile_aggregates(FromSequential(PI), LEX, 5, 3).expected("u")
-    assert enum_lex == tuple(expected_utility_sequential(PI, LEX, i, n=3) for i in (1, 2, 3))
+    assert enum_lex == tuple(agent_value(i, "u", "u", FromSequential(PI), LEX, 5, 3) for i in (1, 2, 3))
     assert enum_lex[0] == 16
     assert abs(enum_lex[1] - frac("17.8667")) <= TENTH_MILLI
     assert enum_lex[2] == 17
-    assert expected_welfare_sequential(PI, BORDA, Aggregator.UTILITARIAN, n=3) == frac("19.7")
-    assert expected_welfare_sequential(PI, LEX, Aggregator.EGALITARIAN, n=3) == 16
+    assert evaluate_criterion(parse_criterion("uuu"), FromSequential(PI), BORDA, 5, 3) == frac("19.7")
+    assert evaluate_criterion(parse_criterion("euu"), FromSequential(PI), LEX, 5, 3) == 16
     ok(1, "sequential worked example: u=(5,9,7)/(16,24,12), u*=(5,7.2,7.5)/(16,17.8667,17), sw=19.7/16")
 
 

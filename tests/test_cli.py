@@ -60,6 +60,30 @@ class TestSimulate:
         assert "expected:   5 9 7" in out
         assert "guaranteed: 5 9 7" in out
 
+    def test_sequential_json_bytes(self, profile_file):
+        # Every stage of a turn sequence holds one demand; the history lists
+        # them in stage order.
+        stages = [
+            ([1, 2, 3, 4, 5], {"1": 1}),
+            ([2, 3, 4, 5], {"2": 4}),
+            ([2, 3, 5], {"3": 3}),
+            ([2, 5], {"3": 5}),
+            ([2], {"2": 2}),
+        ]
+        payload = {
+            "policy": "seq:12332",
+            "scoring": "borda",
+            "stages": [
+                {"stage": k, "remaining": remaining, "demands": demands, "contested": {}}
+                for k, (remaining, demands) in enumerate(stages, start=1)
+            ],
+            "expected": ["5", "9", "7"],
+            "guaranteed": ["5", "9", "7"],
+            "history": [[1, 1], [2, 4], [3, 3], [3, 5], [2, 2]],
+        }
+        out = run_cli("simulate", "--policy", "seq:12332", "--profile", profile_file, "--format", "json")
+        assert out == json.dumps(payload, indent=2) + "\n"
+
     def test_all_reporting_trace(self, profile_file):
         out = run_cli("simulate", "--policy", "all", "--profile", profile_file, "--scoring", "borda")
         assert "expected:   4.8333 8 7.5" in out
@@ -139,6 +163,10 @@ def _bad_inputs():
             ["eval", "-m", "2", "-n", "2", "--policy", "all", "--budget", budget], 2, id=f"budget-{budget}"))
     cases.append(pytest.param(["optimal-seq", "-m", "3", "-n", "0", "--criterion", "em-u"], 2,
                               id="optimal-seq-n0-em-u"))
+    # A target that is not a list of indices, or names an unknown object.
+    for target in ("a", "9"):
+        cases.append(pytest.param(["manipulate", "--others", "{two}", "--target", target], 2,
+                                  id=f"manipulate-target-{target}"))
     return cases
 
 
@@ -251,6 +279,20 @@ class TestOptimalSeq:
         out = run_cli("optimal-seq", "-m", "3", "-n", "2", "--criterion", "em-u")
         assert out.split() == ["122", "3"]
 
+    def test_refusal_names_the_fixed_cap(self):
+        # The uuu/euu search caps n**m at a constant that --budget does not
+        # reach, so its refusal offers no budget to raise.
+        proc = subprocess.run(
+            [sys.executable, "-m", "allocsim.cli", "optimal-seq", "-m", "15", "-n", "3", "--criterion", "uuu",
+             "--budget", "100000"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == (
+            "Error: search space 3^15 exceeds the fixed cap of 10000000 turn sequences, which no budget raises\n"
+        )
+
     def test_has_no_jobs_option(self):
         # The em-u search runs its candidates in-process; no pool to size.
         assert "--jobs" not in run_cli("optimal-seq", "--help")
@@ -336,6 +378,17 @@ class TestManipulate:
 
     def test_requires_mode(self):
         run_cli("manipulate", expect_code=2)
+
+    def test_unparsable_target_names_the_option(self, tmp_path):
+        others = tmp_path / "others.txt"
+        others.write_text("4 2 5 1 3\n1 3 5 4 2\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "allocsim.cli", "manipulate", "--others", str(others), "--target", "a"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Error: --target must list object indices separated by commas, got 'a'" in proc.stderr
 
     def test_target_builds_claim_schedule_once(self, tmp_path, monkeypatch):
         others = tmp_path / "others.txt"

@@ -29,7 +29,7 @@ from allocsim.parallel import (
     policy_values_scaled,
     sequential_values_scaled,
 )
-from allocsim.sequential import SequentialPolicy, realized_utilities
+from allocsim.sequential import SequentialPolicy
 from allocsim.welfare import profile_utilities
 
 
@@ -170,7 +170,7 @@ class TestRecursions:
         structure = build_structure(FromSequential(pi), example_profile)
         assert lottery_expected_utilities(structure, borda) == (5, 9, 7)
         assert guaranteed_utilities(structure, borda) == (5, 9, 7)
-        assert realized_utilities(pi, example_profile, borda) == (5, 9, 7)
+        assert profile_utilities(FromSequential(pi), example_profile, borda)[0] == (5, 9, 7)
 
     def test_expected_identical_two_by_two(self, borda):
         structure = build_structure(AllReporting(), identical_profile(2, 2))

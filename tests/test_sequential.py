@@ -6,21 +6,42 @@ import pytest
 
 from allocsim.errors import BudgetExceededError, PolicyViolationError
 from allocsim.model import Profile, Ranking, ScoringSpec, identity_ranking
-from allocsim.parallel import FromSequential
+from allocsim.parallel import STOP, FromSequential, build_structure
 from allocsim.sequential import (
     Aggregator,
     SequentialPolicy,
     canonical_turn_sequences,
     canonicalize_turns,
-    expected_utility_sequential,
-    expected_welfare_sequential,
     optimal_sequential,
-    realized_utilities,
-    simulate_sequential,
 )
-from allocsim.welfare import evaluate_criterion, parse_criterion, profile_aggregates, profile_utilities
+from allocsim.welfare import agent_value, evaluate_criterion, parse_criterion, profile_aggregates, profile_utilities
 
 PI = SequentialPolicy.from_literal("seq:12332")
+
+
+def picks(pi, profile):
+    """The ``(agent, object)`` picks of a truthful run, read off the chain of
+    its structure, root first: a turn sequence has one reporter per stage
+    and so one demand and one edge."""
+    out = []
+    node = build_structure(FromSequential(pi), profile).root
+    while node is not STOP:
+        (agent,) = node.reporters
+        out.append((agent, node.demands[agent]))
+        ((_, node),) = node.edges
+    return tuple(out)
+
+
+def realized(pi, profile, g):
+    return profile_utilities(FromSequential(pi), profile, g)[0]
+
+
+def expected_utility(pi, g, agent, n):
+    return agent_value(agent, "u", "u", FromSequential(pi), g, pi.m, n)
+
+
+def expected_welfare(pi, g, aggregator, n):
+    return evaluate_criterion(parse_criterion(aggregator.value + "uu"), FromSequential(pi), g, pi.m, n)
 
 
 class TestPolicyLiteral:
@@ -43,40 +64,35 @@ class TestPolicyLiteral:
 
 class TestSimulate:
     def test_worked_example_history(self, example_profile):
-        history = simulate_sequential(PI, example_profile)
-        assert history.picks == ((1, 1), (2, 4), (3, 3), (3, 5), (2, 2))
+        assert picks(PI, example_profile) == ((1, 1), (2, 4), (3, 3), (3, 5), (2, 2))
 
     def test_shared_ranking_two_agents(self):
         profile = Profile((identity_ranking(2), identity_ranking(2)))
-        history = simulate_sequential(SequentialPolicy((1, 2)), profile)
-        assert history.picks == ((1, 1), (2, 2))
+        assert picks(SequentialPolicy((1, 2)), profile) == ((1, 1), (2, 2))
 
     def test_single_agent(self):
         profile = Profile((Ranking((2, 1)),))
-        history = simulate_sequential(SequentialPolicy((1, 1)), profile)
-        assert history.picks == ((1, 2), (1, 1))
+        assert picks(SequentialPolicy((1, 1)), profile) == ((1, 2), (1, 1))
 
     def test_length_mismatch(self, example_profile):
         with pytest.raises(PolicyViolationError):
-            simulate_sequential(SequentialPolicy((1, 2)), example_profile)
+            picks(SequentialPolicy((1, 2)), example_profile)
         with pytest.raises(PolicyViolationError):
-            simulate_sequential(SequentialPolicy((1, 4, 1, 1, 1)), example_profile)
+            picks(SequentialPolicy((1, 4, 1, 1, 1)), example_profile)
 
     @pytest.mark.parametrize("literal", ["seq:12", "seq:12341"])
     def test_misfit_raises_one_error_everywhere(self, literal, example_profile, borda):
-        # One fit rule serves the simulator, the positions DP and every
-        # welfare route, with one message.  The positions DP sees no object
-        # count, so only the agent misfit reaches it.
+        # One fit rule serves every welfare route, with one message.  The
+        # positions DP is asked at the sequence's own length here, so only
+        # the agent misfit reaches it.
         pi = SequentialPolicy.from_literal(literal)
         calls = [
-            lambda: simulate_sequential(pi, example_profile),
-            lambda: realized_utilities(pi, example_profile, borda),
             lambda: profile_utilities(FromSequential(pi), example_profile, borda),
             lambda: evaluate_criterion(parse_criterion("uuu"), FromSequential(pi), borda, 5, 3),
             lambda: evaluate_criterion(parse_criterion("em-u"), FromSequential(pi), borda, 5, 3),
         ]
         if pi.max_agent > 3:
-            calls.append(lambda: expected_utility_sequential(pi, borda, 1, n=3))
+            calls.append(lambda: agent_value(1, "u", "u", FromSequential(pi), borda, pi.m, 3))
         for call in calls:
             with pytest.raises(PolicyViolationError) as info:
                 call()
@@ -89,44 +105,44 @@ class TestSimulate:
         for _ in range(20):
             profile = Profile(tuple(Ranking(rng.choice(perms)) for _ in range(n)))
             turns = tuple(rng.randrange(1, n + 1) for _ in range(m))
-            history = simulate_sequential(SequentialPolicy(turns), profile)
-            objs = [o for _, o in history.picks]
+            history = picks(SequentialPolicy(turns), profile)
+            objs = [o for _, o in history]
             assert sorted(objs) == list(range(1, m + 1))
-            assert [a for a, _ in history.picks] == list(turns)
+            assert [a for a, _ in history] == list(turns)
 
 
 class TestRealizedUtility:
     def test_worked_example_borda(self, example_profile, borda):
-        assert realized_utilities(PI, example_profile, borda) == (5, 9, 7)
+        assert realized(PI, example_profile, borda) == (5, 9, 7)
 
     def test_worked_example_lex(self, example_profile, lex):
-        assert realized_utilities(PI, example_profile, lex) == (16, 24, 12)
+        assert realized(PI, example_profile, lex) == (16, 24, 12)
 
     def test_single_agent_total(self, borda):
         profile = Profile((Ranking((2, 1)),))
-        assert realized_utilities(SequentialPolicy((1, 1)), profile, borda)[0] == 3
+        assert realized(SequentialPolicy((1, 1)), profile, borda)[0] == 3
 
 
 class TestExpectedUtility:
     def test_worked_example_borda_exact(self, borda):
-        values = [expected_utility_sequential(PI, borda, i, n=3) for i in (1, 2, 3)]
+        values = [expected_utility(PI, borda, i, n=3) for i in (1, 2, 3)]
         assert values == [5, Fraction(36, 5), Fraction(15, 2)]
 
     def test_worked_example_lex(self, lex):
-        values = [expected_utility_sequential(PI, lex, i, n=3) for i in (1, 2, 3)]
+        values = [expected_utility(PI, lex, i, n=3) for i in (1, 2, 3)]
         assert values[0] == 16
         assert abs(values[1] - Fraction(178667, 10000)) < Fraction(1, 10000)
         assert values[2] == 17
 
     def test_two_agents_two_objects(self, borda):
         pi = SequentialPolicy((1, 2))
-        assert expected_utility_sequential(pi, borda, 1) == 2
-        assert expected_utility_sequential(pi, borda, 2) == Fraction(3, 2)
+        assert expected_utility(pi, borda, 1, n=2) == 2
+        assert expected_utility(pi, borda, 2, n=2) == Fraction(3, 2)
 
     @pytest.mark.parametrize("method", ["positions", "enumerate"])
     def test_methods_agree_on_worked_example(self, borda, method):
         if method == "positions":
-            value = expected_utility_sequential(PI, borda, 2, n=3)
+            value = expected_utility(PI, borda, 2, n=3)
         else:
             value = profile_aggregates(FromSequential(PI), borda, 5, 3).expected("u")[1]
         assert value == Fraction(36, 5)
@@ -139,7 +155,7 @@ class TestExpectedUtility:
                 pi = SequentialPolicy(turns)
                 slow = profile_aggregates(FromSequential(pi), g, m, n).expected("u")
                 for agent in range(1, n + 1):
-                    assert expected_utility_sequential(pi, g, agent, n=n) == slow[agent - 1]
+                    assert expected_utility(pi, g, agent, n=n) == slow[agent - 1]
 
     def test_symmetry_reduction_is_exact(self, borda, full_stream_reference):
         for m, n in [(2, 2), (3, 2), (3, 3)]:
@@ -153,21 +169,21 @@ class TestExpectedUtility:
 
 class TestExpectedWelfare:
     def test_worked_example_utilitarian(self, borda):
-        value = expected_welfare_sequential(PI, borda, Aggregator.UTILITARIAN, n=3)
+        value = expected_welfare(PI, borda, Aggregator.UTILITARIAN, n=3)
         assert value == Fraction(197, 10)
 
     def test_worked_example_egalitarian(self, lex):
-        assert expected_welfare_sequential(PI, lex, Aggregator.EGALITARIAN, n=3) == 16
+        assert expected_welfare(PI, lex, Aggregator.EGALITARIAN, n=3) == 16
 
     def test_small_utilitarian(self, borda):
         pi = SequentialPolicy((1, 2))
-        assert expected_welfare_sequential(pi, borda, Aggregator.UTILITARIAN) == Fraction(7, 2)
+        assert expected_welfare(pi, borda, Aggregator.UTILITARIAN, n=2) == Fraction(7, 2)
 
     def test_utilitarian_welfare_is_sum_of_expectations(self, borda):
         for turns in [(1, 2, 1), (2, 1, 2), (1, 1, 2)]:
             pi = SequentialPolicy(turns)
-            total = sum(expected_utility_sequential(pi, borda, i, n=2) for i in (1, 2))
-            assert expected_welfare_sequential(pi, borda, Aggregator.UTILITARIAN, n=2) == total
+            total = sum(expected_utility(pi, borda, i, n=2) for i in (1, 2))
+            assert expected_welfare(pi, borda, Aggregator.UTILITARIAN, n=2) == total
 
 
 class TestRenamingEquivariance:
@@ -183,8 +199,8 @@ class TestRenamingEquivariance:
             relabeled_turns = tuple(sigma[t - 1] for t in turns)
             inverse = {sigma[i - 1]: i for i in range(1, n + 1)}
             permuted_profile = Profile(tuple(profile.rankings[inverse[j] - 1] for j in range(1, n + 1)))
-            base = realized_utilities(SequentialPolicy(turns), profile, borda)
-            moved = realized_utilities(SequentialPolicy(relabeled_turns), permuted_profile, borda)
+            base = realized(SequentialPolicy(turns), profile, borda)
+            moved = realized(SequentialPolicy(relabeled_turns), permuted_profile, borda)
             assert tuple(moved[sigma[i - 1] - 1] for i in range(1, n + 1)) == base
 
 
@@ -219,7 +235,7 @@ class TestOptimalSearch:
         for turns in itertools.product(range(1, n + 1), repeat=m):
             pi = SequentialPolicy(turns)
             value = aggregator.apply(
-                expected_utility_sequential(pi, borda, i, n=n) for i in range(1, n + 1)
+                expected_utility(pi, borda, i, n=n) for i in range(1, n + 1)
             )
             if best_value is None or value > best_value:
                 best_value, best_turns = value, turns
