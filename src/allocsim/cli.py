@@ -22,7 +22,6 @@ from . import __version__
 from .errors import BudgetExceededError, PolicyViolationError, ProfileParseError, StrategyError
 from .model import Profile, ScoringSpec, identity_ranking, parse_profile_text, parse_scoring_text
 from .parallel import (
-    STOP,
     FromSequential,
     build_structure,
     guaranteed_utilities,  # unused here; bench/tracer.py wraps it in this module
@@ -175,28 +174,16 @@ def cli():
 
 
 def _stage_records(structure):
-    """Depth-grouped node summaries for the trace output."""
-    depth = {id(structure.root): 1}
-    order = [structure.root]
-    for node in order:  # breadth-first: order is the queue
-        for _, target in node.edges:
-            if target is not STOP and id(target) not in depth:
-                depth[id(target)] = depth[id(node)] + 1
-                order.append(target)
-    records = []
-    for node in order:
-        contested = {
-            o: len(agents) for o, agents in node.contenders().items() if len(agents) > 1
+    """Node summaries for the trace output, in stage order."""
+    return [
+        {
+            "stage": node.stage,
+            "remaining": sorted(node.remaining),
+            "demands": {a: node.demands[a] for a in sorted(node.reporters)},
+            "contested": {o: len(agents) for o, agents in node.contenders().items() if len(agents) > 1},
         }
-        records.append(
-            {
-                "stage": depth[id(node)],
-                "remaining": sorted(node.remaining),
-                "demands": {a: node.demands[a] for a in sorted(node.reporters)},
-                "contested": contested,
-            }
-        )
-    return records
+        for node in structure.nodes
+    ]
 
 
 @cli.command()

@@ -110,12 +110,10 @@ class ClaimSchedule:
     ``stages[k-1]`` is ``(available, claimed, taken)``: the objects still in
     play at round k, the targets some truthful agent would grab before any
     remaining non-target, and the truthful agents' best non-targets.  Every
-    object lands in exactly one claimed or taken set; ``first_stage`` maps it
-    to that round.
+    object lands in exactly one claimed or taken set.
     """
 
     stages: tuple[tuple[frozenset[int], frozenset[int], frozenset[int]], ...]
-    first_stage: dict[int, int]
 
 
 def claim_schedule(others: Sequence[Ranking], target: frozenset[int] | set[int]) -> ClaimSchedule:
@@ -127,19 +125,14 @@ def claim_schedule(others: Sequence[Ranking], target: frozenset[int] | set[int])
     m = others[0].m
     available = frozenset(range(1, m + 1))
     stages = []
-    first_stage: dict[int, int] = {}
-    k = 0
     while available:
-        k += 1
         in_target = available & target
         out_target = available - target
         claimed = frozenset().union(*(better(r, in_target, out_target) for r in others))
         taken = frozenset(r.best_of(out_target) for r in others if out_target)
         stages.append((available, claimed, taken))
-        for o in claimed | taken:
-            first_stage[o] = k
         available = available - claimed - taken
-    return ClaimSchedule(tuple(stages), first_stage)
+    return ClaimSchedule(tuple(stages))
 
 
 def _securable(schedule: ClaimSchedule) -> bool:

@@ -5,11 +5,11 @@ Objects are the integers ``1..m`` and agents the integers ``1..n`` throughout
 the package.  All values derived from scores are exact :class:`fractions.Fraction`
 (or plain integers); nothing is rounded before presentation.
 
-Profile enumeration walks the full space of ``(m!)**n`` preference profiles in
-lexicographic order.  Because every quantity computed downstream depends on
-rankings only through ranks, relabeling the objects by agent 1's ranking is a
-sound symmetry reduction: with ``reduce_symmetry=True`` the stream fixes agent
-1 to the identity ranking and weights every item by ``m!``.
+Profile enumeration stands for the space of ``(m!)**n`` preference profiles.
+Because every quantity computed downstream depends on rankings only through
+ranks, relabeling the objects by agent 1's ranking is a sound symmetry
+reduction: the stream fixes agent 1 to the identity ranking, walks the other
+agents' rankings in lexicographic order and weights every item by ``m!``.
 """
 
 from __future__ import annotations
@@ -112,11 +112,6 @@ class Profile:
     def n(self) -> int:
         return len(self.rankings)
 
-    def ranking(self, agent: int) -> Ranking:
-        if not 1 <= agent <= self.n:
-            raise ValueError(f"agent {agent} out of range 1..{self.n}")
-        return self.rankings[agent - 1]
-
     def order_rows(self) -> tuple[tuple[int, ...], ...]:
         """Raw best-to-worst object tuples, one per agent."""
         return tuple(r.order for r in self.rankings)
@@ -207,19 +202,19 @@ def is_convex(g: ScoringSpec, m: int) -> bool:
 
 @dataclass(frozen=True)
 class ProfileStream:
-    """A lazily enumerated, weight-annotated portion of profile space.
+    """A lazily enumerated, weight-annotated portion of the reduced profile
+    space: agent 1's ranking is the identity, and every item weighs ``m!``.
 
-    ``lo``/``hi`` bound the index of the *leading varying agent's* ranking,
-    which is how :meth:`partition` splits the stream into independently
-    iterable parts.  Summing any per-profile quantity times its weight over
-    any partitioning gives the same total; ``total_weight`` is ``(m!)**n``
-    for the full stream.  A stream is plain data, so a worker process can
-    take a chunk as is, and no ranking table outlives a walk.
+    ``lo``/``hi`` bound the index of agent 2's ranking, which is how
+    :meth:`partition` splits the stream into independently iterable parts.
+    Summing any per-profile quantity times its weight over any partitioning
+    gives the same total; ``total_weight`` is ``(m!)**n`` for the whole
+    stream.  A stream is plain data, so a worker process can take a chunk as
+    is, and no ranking table outlives a walk.
     """
 
     m: int
     n: int
-    reduce_symmetry: bool
     lo: int = 0
     hi: int | None = None
 
@@ -232,22 +227,15 @@ class ProfileStream:
             raise ValueError("invalid stream bounds")
 
     @property
-    def varying_agents(self) -> int:
-        return self.n - 1 if self.reduce_symmetry else self.n
-
-    @property
     def item_weight(self) -> int:
-        return math.factorial(self.m) if self.reduce_symmetry else 1
+        return math.factorial(self.m)
 
     @property
     def count(self) -> int:
         """Number of items in this (sub)stream."""
-        fact = math.factorial(self.m)
-        if self.varying_agents == 0:
-            # Fully reduced single item; the lo/hi window is over an empty
-            # radix, so treat the whole range as one item.
+        if self.n == 1:  # one item, with no ranking to window
             return 1 if self.lo == 0 else 0
-        return (self.hi - self.lo) * fact ** (self.varying_agents - 1)
+        return (self.hi - self.lo) * math.factorial(self.m) ** (self.n - 2)
 
     @property
     def total_weight(self) -> int:
@@ -257,39 +245,34 @@ class ProfileStream:
         """Split into at most ``parts`` disjoint streams covering the same items."""
         if parts < 1:
             raise ValueError("parts must be positive")
-        if self.varying_agents == 0:
+        if self.n == 1:
             return [self]
         span = self.hi - self.lo
         parts = min(parts, span) or 1
         bounds = [self.lo + (span * k) // parts for k in range(parts + 1)]
-        return [
-            ProfileStream(self.m, self.n, self.reduce_symmetry, lo=a, hi=b)
-            for a, b in zip(bounds, bounds[1:])
-            if b > a
-        ]
+        return [ProfileStream(self.m, self.n, lo=a, hi=b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
     def iter_order_rows(self) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
         """Yield ``(order_rows, weight)`` pairs without building Profile objects.
 
-        The leading varying agent's rankings ``lo..hi`` are sliced from
-        ``itertools.permutations``; every later varying agent runs over one
-        tuple of all ``m!`` rankings, built for this walk and dropped with it.
+        Agent 2's rankings ``lo..hi`` are sliced from
+        ``itertools.permutations``; every later agent runs over one tuple of
+        all ``m!`` rankings, built for this walk and dropped with it.
         """
         w = self.item_weight
         objects = range(1, self.m + 1)
-        fixed = (tuple(objects),) if self.reduce_symmetry else ()
-        k = self.varying_agents
-        if k == 0:
+        fixed = (tuple(objects),)
+        if self.n == 1:
             if self.count:
                 yield fixed, w
             return
         leading = itertools.islice(itertools.permutations(objects), self.lo, self.hi)
-        if k == 1:
+        if self.n == 2:
             for lead in leading:
                 yield fixed + (lead,), w
             return
         rest = tuple(itertools.permutations(objects))
-        for varying in itertools.product(leading, *[rest] * (k - 1)):
+        for varying in itertools.product(leading, *[rest] * (self.n - 2)):
             yield fixed + varying, w
 
     def __iter__(self) -> Iterator[tuple[Profile, int]]:
@@ -297,10 +280,10 @@ class ProfileStream:
             yield Profile(tuple(Ranking(o) for o in orders)), w
 
 
-def enumerate_profiles(m: int, n: int, reduce_symmetry: bool = False) -> ProfileStream:
-    """Stream every preference profile (or one representative per object
-    relabeling class when ``reduce_symmetry`` is set) with its weight."""
-    return ProfileStream(m, n, reduce_symmetry)
+def enumerate_profiles(m: int, n: int) -> ProfileStream:
+    """Stream one profile per object relabeling class, agent 1's ranking the
+    identity, each with its weight ``m!``."""
+    return ProfileStream(m, n)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,10 @@ class ParallelPolicy:
         """State after one stage with the given reporters and losers."""
         raise NotImplementedError
 
+    def check_fit(self, m: int, n: int) -> None:
+        """Refuse play with ``m`` objects and ``n`` agents; only a turn sequence
+        can misfit.  Every route asks this once, before any budget or walk."""
+
     def describe(self) -> str:
         return self.literal
 
@@ -126,6 +130,9 @@ class FromSequential(ParallelPolicy):
 
     def initial_state(self):
         return 0
+
+    def check_fit(self, m: int, n: int) -> None:
+        self.policy.check_fit(m, n)
 
     def reporters(self, state, n: int) -> frozenset[int]:
         if state >= self.policy.m:
@@ -204,14 +211,16 @@ STOP = _Stop()
 class DemandSituation:
     """A protocol state: remaining objects plus each reporter's demand.
 
-    ``edges`` holds one entry per possible loser set, each a
-    ``(losers, target)`` pair where target is another node or :data:`STOP`.
-    Distinct loser sets are equiprobable.
+    ``stage`` is the first stage that reaches the node: one more than the
+    fewest stages of any run leading to it.  ``edges`` holds one entry per
+    possible loser set, each a ``(losers, target)`` pair where target is
+    another node or :data:`STOP`.  Distinct loser sets are equiprobable.
     """
 
     remaining: frozenset[int]
     reporters: frozenset[int]
     demands: dict[int, int]
+    stage: int
     edges: tuple[tuple[frozenset[int], "DemandSituation | _Stop"], ...] = ()
 
     @property
@@ -251,46 +260,47 @@ class AllocationStructure:
 def build_structure(policy: ParallelPolicy, profile: Profile) -> AllocationStructure:
     """Build the structure of all truthful runs of ``policy`` on ``profile``.
 
-    Nodes are merged when they share the remaining set, the reporter set and
-    the policy's own view of the history; truthful demands are determined by
-    the first two plus the fixed profile.  Every stage must have a reporter,
-    so every edge removes at least one object and the structure is acyclic.
+    The policy's fit to the profile is checked first.  Nodes are merged when
+    they share the remaining set, the reporter set and the policy's own view
+    of the history; truthful demands are determined by the first two plus the
+    fixed profile.  Every stage must have a reporter, so every edge removes
+    at least one object and the structure is acyclic.  The walk is
+    breadth-first, so ``nodes`` lists the nodes by stage, each stage in the
+    order its nodes are first reached.
     """
     n, m = profile.n, profile.m
+    policy.check_fit(m, n)
     rankings = profile.rankings
     memo: dict = {}
-    order: list[DemandSituation] = []
+    queue: list[tuple[DemandSituation, object]] = []
 
-    def visit(remaining: frozenset[int], state) -> DemandSituation:
-        key = (remaining, state)
-        if key in memo:
-            return memo[key]
-        reporters = policy.reporters(state, n)
-        if not reporters:
-            raise PolicyViolationError("a stage with no reporters removes no object")
-        demands = {i: rankings[i - 1].best_of(remaining) for i in sorted(reporters)}
-        node = DemandSituation(remaining=remaining, reporters=reporters, demands=demands)
-        memo[key] = node
-        groups = node.contenders()
-        contested = [(o, agents) for o, agents in sorted(groups.items()) if len(agents) > 1]
-        next_remaining = remaining - node.reported
+    def reach(remaining: frozenset[int], state, stage: int) -> DemandSituation:
+        node = memo.get((remaining, state))
+        if node is None:
+            reporters = policy.reporters(state, n)
+            if not reporters:
+                raise PolicyViolationError("a stage with no reporters removes no object")
+            demands = {i: rankings[i - 1].best_of(remaining) for i in sorted(reporters)}
+            node = memo[remaining, state] = DemandSituation(remaining, reporters, demands, stage)
+            queue.append((node, state))
+        return node
+
+    root = reach(frozenset(range(1, m + 1)), policy.initial_state(), 1)
+    for node, state in queue:  # the queue grows while it is walked
+        contested = [(o, agents) for o, agents in sorted(node.contenders().items()) if len(agents) > 1]
+        next_remaining = node.remaining - node.reported
         edges = []
         for winners in itertools.product(*(agents for _, agents in contested)):
             losers = frozenset(
                 a for (_, agents), w in zip(contested, winners) for a in agents if a != w
             )
             if next_remaining:
-                target = visit(next_remaining, policy.advance(state, reporters, losers))
+                target = reach(next_remaining, policy.advance(state, node.reporters, losers), node.stage + 1)
             else:
                 target = STOP
             edges.append((losers, target))
         node.edges = tuple(edges)
-        order.append(node)
-        return node
-
-    root = visit(frozenset(range(1, m + 1)), policy.initial_state())
-    del visit  # it refers to itself; breaking that cycle frees the memo now, not at a collection
-    return AllocationStructure(root=root, nodes=tuple(order), policy=policy, profile=profile)
+    return AllocationStructure(root=root, nodes=tuple(node for node, _ in queue), policy=policy, profile=profile)
 
 
 def lottery_expected_utilities(structure: AllocationStructure, g: ScoringSpec) -> tuple[Fraction, ...]:

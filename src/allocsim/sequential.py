@@ -104,7 +104,7 @@ class SequentialPolicy:
 # Expected utilities
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)  # shared by every search of a process; tables 1-4 fill about 4,000
 def _expected_score_for_positions(
     m: int, score_row: tuple[Fraction, ...], picks: frozenset[int]
 ) -> Fraction:

@@ -279,13 +279,6 @@ def _compute_chunk(task):
     return _stats_for_chunk(_sorted_others(stream), policy, g, stream.m, stream.n).agent_one_for_all()
 
 
-def _check_fit(policy: ParallelPolicy, m: int, n: int) -> None:
-    """Refuse a turn sequence that does not fit m objects and n agents.  Each
-    route checks this once, before any budget."""
-    if isinstance(policy, FromSequential):
-        policy.policy.check_fit(m, n)
-
-
 def _stats_for_chunk(orders_iter, policy, g, m, n):
     """Chunk statistics from the per-profile kernel that serves ``policy``:
     one deterministic chain of stages under all-reporting, one run for a turn
@@ -344,8 +337,8 @@ def profile_aggregates(
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
     workers = worker_count(jobs, os.cpu_count())
-    _check_fit(policy, m, n)
-    stream = enumerate_profiles(m, n, reduce_symmetry=True)
+    policy.check_fit(m, n)
+    stream = enumerate_profiles(m, n)
     items = stream.count
     if isinstance(policy, (AllReporting, LoserReporting)):
         items = math.comb(math.factorial(m) + n - 2, n - 1)  # sorted rankings of agents 2..n
@@ -479,7 +472,7 @@ def _agent_values(
     if y == "u" and isinstance(policy, FromSequential):
         if m < 1 or n < 1:
             raise ValueError("m and n must both be at least 1")
-        _check_fit(policy, m, n)
+        policy.check_fit(m, n)
         return _expected_utilities(policy.policy.turns, n, g.score_row(m))
     stats = profile_aggregates(policy, g, m, n, jobs, budget_units)
     return stats.expected(z) if y == "u" else stats.minimum(z)
@@ -538,7 +531,7 @@ def profile_utilities(
     """Per-agent (expected, guaranteed) utilities of one profile: a stream of
     one item through the same kernel, fit check and record as a profile
     pass."""
-    _check_fit(policy, profile.m, profile.n)
+    policy.check_fit(profile.m, profile.n)
     stats = _stats_for_chunk([(profile.order_rows(), 1)], policy, g, profile.m, profile.n)
     return stats.expected("u"), stats.expected("e")
 

@@ -1,10 +1,11 @@
+import itertools
 import tempfile
 
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from allocsim.model import Profile, Ranking, ScoringSpec, enumerate_profiles
+from allocsim.model import Profile, Ranking, ScoringSpec
 from allocsim.welfare import BUDGET_ENV_VAR, profile_utilities
 
 # Property tests draw the same examples on every machine and keep no example
@@ -53,20 +54,21 @@ def full_stream_reference():
     the per-agent mean and minimum over every profile of the expected
     (``z = "u"``) or guaranteed (``z = "e"``) utility, and the mean of the
     per-profile minimum across agents.  It folds :func:`profile_utilities`
-    over the full, unreduced profile stream, so it holds the symmetry-reduced
-    pass to an independent enumeration and accumulation."""
+    over all ``(m!)**n`` profiles, built here from ``itertools``, so it holds
+    the symmetry-reduced pass to an enumeration and accumulation that share
+    no code with it."""
 
     def reference(policy, g, m, n):
-        rows = [
-            (weight, dict(zip("ue", profile_utilities(policy, profile, g))))
-            for profile, weight in enumerate_profiles(m, n, reduce_symmetry=False)
+        values = [
+            dict(zip("ue", profile_utilities(policy, Profile(tuple(map(Ranking, orders))), g)))
+            for orders in itertools.product(itertools.permutations(range(1, m + 1)), repeat=n)
         ]
-        total = sum(weight for weight, _ in rows)
+        total = len(values)
         return {
             z: (
-                tuple(sum(w * v[z][i] for w, v in rows) / total for i in range(n)),
-                tuple(min(v[z][i] for _, v in rows) for i in range(n)),
-                sum(w * min(v[z]) for w, v in rows) / total,
+                tuple(sum(v[z][i] for v in values) / total for i in range(n)),
+                tuple(min(v[z][i] for v in values) for i in range(n)),
+                sum(min(v[z]) for v in values) / total,
             )
             for z in "ue"
         }

@@ -233,7 +233,8 @@ def test_criterion_08_recursion_oracle_equivalence():
             policies = [AllReporting(), LoserReporting()]
             turns = tuple(rng.randrange(1, n + 1) for _ in range(m))
             policies.append(FromSequential(SequentialPolicy(turns)))
-            for profile, _ in enumerate_profiles(m, n, reduce_symmetry=False):
+            for rows in itertools.product(itertools.permutations(range(1, m + 1)), repeat=n):
+                profile = Profile(tuple(map(Ranking, rows)))
                 for policy in policies:
                     structure = build_structure(policy, profile)
                     hat = lottery_expected_utilities(structure, BORDA)
@@ -322,9 +323,10 @@ def test_criterion_10_strategy_algorithms():
                         continue
                     assert target <= secured_objects(strategy, others)
                     schedule = claim_schedule(others, target)
+                    rounds = {o: k for k, (_, c, t) in enumerate(schedule.stages, start=1) for o in c | t}
                     for position, obj in enumerate(strategy.reports, start=1):
                         if obj in target:
-                            assert position < schedule.first_stage[obj]
+                            assert position < rounds[obj]
                 strategy, achieved, value = optimal_pessimistic_strategy(profile, LEX)
                 _, best_value, _ = brute_force_manipulation(
                     ManipulationProblem(others, frozenset()), LEX, ranking=rows[0]
@@ -347,7 +349,7 @@ def test_criterion_11_loser_reporting_floor():
     for n in (1, 2, 3):
         for m in range(1, 6):
             floor = m // n
-            for profile, _ in enumerate_profiles(m, n, reduce_symmetry=True):
+            for profile, _ in enumerate_profiles(m, n):
                 structure = build_structure(LoserReporting(), profile)
                 for allocation, _ in enumerate_outcomes(structure):
                     assert all(len(objs) >= floor for objs in allocation.values())

@@ -93,6 +93,31 @@ class TestSimulate:
         out = run_cli("simulate", "--policy", "loser", "--profile", profile_file, "--scoring", "lex")
         assert "guaranteed: 8 16 12" in out
 
+    def test_loser_trace_bytes(self, tmp_path):
+        # Runs of three and of four stages both reach remaining {5}; a merged
+        # node is labelled with the first stage that reaches it.
+        path = tmp_path / "profile.txt"
+        path.write_text("1 2 3 4 5\n1 4 2 5 3\n")
+        out = run_cli("simulate", "--policy", "loser", "--scoring", "borda", "--profile", str(path))
+        assert out == (
+            "policy loser, scoring borda, m=5, n=2\n"
+            "stage 1: remaining {1,2,3,4,5}  demands 1->o1 2->o1\n"
+            "          contested: o1x2\n"
+            "stage 2: remaining {2,3,4,5}  demands 2->o4\n"
+            "stage 2: remaining {2,3,4,5}  demands 1->o2\n"
+            "stage 3: remaining {2,3,5}  demands 1->o2 2->o2\n"
+            "          contested: o2x2\n"
+            "stage 3: remaining {3,4,5}  demands 1->o3 2->o4\n"
+            "stage 4: remaining {3,5}  demands 2->o5\n"
+            "stage 4: remaining {3,5}  demands 1->o3\n"
+            "stage 4: remaining {5}  demands 1->o5 2->o5\n"
+            "          contested: o5x2\n"
+            "stage 5: remaining {3}  demands 1->o3 2->o3\n"
+            "          contested: o3x2\n"
+            "expected:   8.5 8.625\n"
+            "guaranteed: 7 6\n"
+        )
+
     def test_json_format(self, profile_file):
         out = run_cli("simulate", "--policy", "all", "--profile", profile_file, "--format", "json")
         payload = json.loads(out)

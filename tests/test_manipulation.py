@@ -90,7 +90,8 @@ class TestClaimSchedule:
             ([1, 2, 3, 4, 5], [], [1, 4]),
             ([2, 3, 5], [2], [3, 5]),
         ]
-        assert schedule.first_stage[2] == 2
+        _, claimed, taken = schedule.stages[1]
+        assert 2 in claimed | taken
 
     def test_empty_target_claims_nothing(self):
         schedule = claim_schedule(OTHERS, frozenset())
@@ -100,7 +101,6 @@ class TestClaimSchedule:
         schedule = claim_schedule(OTHERS, {1})
         _, claimed, _ = schedule.stages[0]
         assert 1 in claimed
-        assert schedule.first_stage[1] == 1
 
     def test_stages_partition_objects(self):
         rng = random.Random(9)
@@ -196,9 +196,10 @@ class TestFindStrategy:
                 continue
             assert target <= secured_objects(strategy, others)
             schedule = claim_schedule(others, target)
+            rounds = {o: k for k, (_, c, t) in enumerate(schedule.stages, start=1) for o in c | t}
             for position, obj in enumerate(strategy.reports, start=1):
                 if obj in target:
-                    assert position < schedule.first_stage[obj]
+                    assert position < rounds[obj]
 
     def test_no_opponents_rejected(self):
         with pytest.raises(ValueError):

@@ -116,48 +116,37 @@ class TestScoring:
 
 
 class TestEnumeration:
-    def test_counts_2_2(self):
-        stream = enumerate_profiles(2, 2, reduce_symmetry=False)
-        items = list(stream)
-        assert len(items) == 4
-        assert all(w == 1 for _, w in items)
-        assert stream.total_weight == 4
-
-    def test_counts_3_2(self):
-        assert enumerate_profiles(3, 2, reduce_symmetry=False).count == 36
-
     def test_counts_reduced_5_3(self):
-        stream = enumerate_profiles(5, 3, reduce_symmetry=True)
+        stream = enumerate_profiles(5, 3)
         assert stream.count == 14400
         assert stream.item_weight == 120
         assert stream.total_weight == 120**3
 
     def test_zero_sizes_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_profiles(0, 2, False)
+            enumerate_profiles(0, 2)
         with pytest.raises(ValueError):
-            enumerate_profiles(2, 0, False)
+            enumerate_profiles(2, 0)
 
     def test_reduced_fixes_agent_one(self):
-        for profile, w in enumerate_profiles(3, 2, reduce_symmetry=True):
+        for profile, w in enumerate_profiles(3, 2):
             assert profile.rankings[0].order == (1, 2, 3)
             assert w == 6
 
     def test_lexicographic_order_and_distinct(self):
-        seen = [p.order_rows() for p, _ in enumerate_profiles(3, 2, False)]
+        seen = [p.order_rows() for p, _ in enumerate_profiles(3, 3)]
         assert len(set(seen)) == 36
         assert seen == sorted(seen)
 
-    # (m, n, reduce_symmetry): a full stream, a reduced one whose later agent
-    # runs over all m! rankings, a reduced one with no varying agent, and a
-    # one-agent walk over 9! rankings.  The cases run in one test so that it
-    # keeps its id.  Chunks are compared item by item as they stream, so that
-    # no second 9!-item list is held.
-    PARTITION_CASES = ((3, 2, False), (4, 3, True), (3, 1, True), (9, 2, True))
+    # (m, n): a stream whose later agent runs over all m! rankings, one with
+    # no varying agent, and a one-varying-agent walk over 9! rankings.  The
+    # cases run in one test so that it keeps its id.  Chunks are compared
+    # item by item as they stream, so that no second 9!-item list is held.
+    PARTITION_CASES = ((4, 3), (3, 1), (9, 2))
 
     def test_partition_covers_stream(self):
-        for m, n, reduced in self.PARTITION_CASES:
-            stream = enumerate_profiles(m, n, reduce_symmetry=reduced)
+        for m, n in self.PARTITION_CASES:
+            stream = enumerate_profiles(m, n)
             whole = list(stream.iter_order_rows())
             assert len(whole) == stream.count
             for parts in (1, 2, 4, 5):
@@ -165,10 +154,10 @@ class TestEnumeration:
                 assert sum(c.count for c in chunks) == stream.count
                 glued = itertools.chain.from_iterable(c.iter_order_rows() for c in chunks)
                 pairs = itertools.zip_longest(glued, whole)
-                assert all(itertools.starmap(operator.eq, pairs)), (m, n, reduced, parts)
+                assert all(itertools.starmap(operator.eq, pairs)), (m, n, parts)
 
     def test_partition_weighted_sum_invariant(self):
-        stream = enumerate_profiles(3, 3, reduce_symmetry=True)
+        stream = enumerate_profiles(3, 3)
         total = sum(w * p.rankings[2].rank_of(1) for p, w in stream)
         for parts in (2, 3):
             split = sum(

@@ -150,8 +150,21 @@ class TestBuildStructure:
     def test_exhausted_sequence_is_violation(self, example_profile):
         with pytest.raises(PolicyViolationError):
             build_structure(FromSequential(SequentialPolicy((1, 2))), example_profile)
-        with pytest.raises(PolicyViolationError, match="names agent 4"):
+        with pytest.raises(PolicyViolationError, match="does not fit m=5 objects and n=3 agents"):
             build_structure(FromSequential(SequentialPolicy((1, 2, 4, 3, 2))), example_profile)
+
+    def test_nodes_in_stage_order(self):
+        # Runs of three and of four stages reach remaining {5}; that node
+        # keeps the first stage that reaches it, and nodes are listed by stage.
+        profile = Profile((Ranking((1, 2, 3, 4, 5)), Ranking((1, 4, 2, 5, 3))))
+        structure = build_structure(LoserReporting(), profile)
+        assert structure.nodes[0] is structure.root
+        assert [(node.stage, len(node.remaining)) for node in structure.nodes] == [
+            (1, 5), (2, 4), (2, 4), (3, 3), (3, 3), (4, 2), (4, 2), (4, 1), (5, 1)
+        ]
+        for node in structure.nodes:
+            for _, target in node.edges:
+                assert target is STOP or target.stage <= node.stage + 1
 
     @pytest.mark.parametrize("grow", [False, True], ids=["constant-state", "growing-state"])
     def test_stage_without_reporters_is_violation(self, grow):
@@ -302,7 +315,7 @@ class TestOracleEquivalence:
         rng = random.Random(99)
         for m in (1, 2, 3):
             for n in (1, 2, 3):
-                for profile, _ in enumerate_profiles(m, n, reduce_symmetry=True):
+                for profile, _ in enumerate_profiles(m, n):
                     if policy_literal == "seq":
                         turns = tuple(rng.randrange(1, n + 1) for _ in range(m))
                         policy = FromSequential(SequentialPolicy(turns))
@@ -321,7 +334,7 @@ class TestFloorGuarantee:
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])
     def test_loser_reporting_floor_small(self, m, n):
         floor = m // n
-        for profile, _ in enumerate_profiles(m, n, reduce_symmetry=True):
+        for profile, _ in enumerate_profiles(m, n):
             structure = build_structure(LoserReporting(), profile)
             for allocation, _ in enumerate_outcomes(structure):
                 assert all(len(objs) >= floor for objs in allocation.values())

@@ -6,10 +6,11 @@ import pytest
 
 from allocsim.errors import BudgetExceededError, PolicyViolationError
 from allocsim.model import Profile, Ranking, ScoringSpec, identity_ranking
-from allocsim.parallel import STOP, FromSequential, build_structure
+from allocsim.parallel import STOP, FromSequential, build_structure, enumerate_outcomes
 from allocsim.sequential import (
     Aggregator,
     SequentialPolicy,
+    _expected_score_for_positions,
     canonical_turn_sequences,
     canonicalize_turns,
     optimal_sequential,
@@ -80,13 +81,16 @@ class TestSimulate:
         with pytest.raises(PolicyViolationError):
             picks(SequentialPolicy((1, 4, 1, 1, 1)), example_profile)
 
-    @pytest.mark.parametrize("literal", ["seq:12", "seq:12341"])
+    @pytest.mark.parametrize("literal", ["seq:12", "seq:12341", "seq:123123"])
     def test_misfit_raises_one_error_everywhere(self, literal, example_profile, borda):
-        # One fit rule serves every welfare route, with one message.  The
-        # positions DP is asked at the sequence's own length here, so only
-        # the agent misfit reaches it.
+        # One fit rule serves every welfare route and the allocation
+        # structure, with one message; a sequence longer than m would
+        # otherwise build a silent chain of m stages.  The positions DP is
+        # asked at the sequence's own length here, so only the agent misfit
+        # reaches it.
         pi = SequentialPolicy.from_literal(literal)
         calls = [
+            lambda: enumerate_outcomes(build_structure(FromSequential(pi), example_profile)),
             lambda: profile_utilities(FromSequential(pi), example_profile, borda),
             lambda: evaluate_criterion(parse_criterion("uuu"), FromSequential(pi), borda, 5, 3),
             lambda: evaluate_criterion(parse_criterion("em-u"), FromSequential(pi), borda, 5, 3),
@@ -246,3 +250,11 @@ class TestOptimalSearch:
     def test_budget_refusal(self, borda):
         with pytest.raises(BudgetExceededError):
             optimal_sequential(30, 2, borda, Aggregator.UTILITARIAN)
+
+    def test_positions_cache_is_bounded(self, borda):
+        # Every search of a process shares the positions DP's cache: it has a
+        # fixed size, large enough for tables 1-4 (about 4,000 entries).
+        maxsize = _expected_score_for_positions.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 4096
+        optimal_sequential(8, 3, borda, Aggregator.UTILITARIAN)
+        assert _expected_score_for_positions.cache_info().currsize <= maxsize

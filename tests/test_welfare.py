@@ -303,7 +303,7 @@ class TestSymmetrySoundness:
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (1, 3), (3, 2), (3, 3), (4, 3), (3, 4), (2, 5), (2, 6)])
     def test_orbit_walk_is_the_sorted_part_of_each_chunk(self, m, n):
         for parts in (1, 3, 8):
-            for chunk in enumerate_profiles(m, n, reduce_symmetry=True).partition(parts):
+            for chunk in enumerate_profiles(m, n).partition(parts):
                 assert list(welfare._sorted_others(chunk)) == list(sorted_items(chunk.iter_order_rows()))
 
     def test_anonymous_pass_evaluates_one_profile_per_orbit(self, borda, monkeypatch):
@@ -324,7 +324,7 @@ class TestSymmetrySoundness:
         # One unit per object of each profile the pass evaluates.
         with pytest.raises(BudgetExceededError) as refused:
             profile_aggregates(policy, borda, m, n, budget_units=0)
-        stream = enumerate_profiles(m, n, reduce_symmetry=True)
+        stream = enumerate_profiles(m, n)
         assert refused.value.estimated == m * sum(1 for _ in welfare._sorted_others(stream))
 
     def test_orbit_budget_is_exact(self, borda):
