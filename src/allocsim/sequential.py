@@ -1,16 +1,19 @@
 """Sequential picking protocol: turn sequences, their expected utilities and
 the exhaustive optimal-sequence search.
 
-A turn sequence is played and averaged over profiles as a
-parallel policy with one reporter per stage (``FromSequential`` in
-:mod:`allocsim.parallel`, served by :mod:`allocsim.welfare`).  What stays here
-has no parallel counterpart.  Expected utilities come from a per-rank dynamic
+A turn sequence is played and averaged over profiles as a parallel policy
+with one reporter per stage (``FromSequential`` in :mod:`allocsim.parallel`,
+served by :mod:`allocsim.welfare`).  What stays here has no parallel
+counterpart.  Expected utilities come from a per-rank dynamic
 program over the steps at which an agent picks: from one agent's point of
 view every pick by another agent removes a uniformly random remaining object,
 while its own picks remove its best remaining one.  This makes the
 expectation a function of the set of steps at which the agent picks, and is
-what makes exhaustive policy search affordable.  The test suite pins it,
-exactly, to an independent per-profile pass over the same profile stream
+what makes exhaustive policy search affordable.  The DP counts in integers at
+the scale ``m! * denom`` of :meth:`ScoringSpec.integer_row`; a search folds
+and compares its candidates at that scale and divides once, for the winner.
+The test suite pins the DP to its ``Fraction`` form and, exactly, to an
+independent per-profile pass over the same profile stream
 (``profile_aggregates`` of the turn sequence as a parallel policy).
 
 A turn sequence fits m objects and n agents when it has m turns and names no
@@ -21,6 +24,7 @@ through :meth:`SequentialPolicy.check_fit`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,10 +53,8 @@ class Aggregator(enum.Enum):
     EGALITARIAN = "e"  # min
 
     def apply(self, values: Iterable[Fraction]) -> Fraction:
-        values = list(values)
-        if self is Aggregator.UTILITARIAN:
-            return sum(values, Fraction(0))
-        return min(values)
+        """The fold of one or more values; integers fold to an integer."""
+        return sum(values) if self is Aggregator.UTILITARIAN else min(values)
 
 
 @dataclass(frozen=True)
@@ -105,50 +107,52 @@ class SequentialPolicy:
 
 
 @lru_cache(maxsize=8192)  # shared by every search of a process; tables 1-4 fill about 4,000
-def _expected_score_for_positions(
-    m: int, score_row: tuple[Fraction, ...], picks: frozenset[int]
-) -> Fraction:
-    """Expected total score of an agent picking at the given steps.
+def _expected_score_for_positions(m: int, int_row: tuple[int, ...], picks: frozenset[int]) -> int:
+    """``m!`` times the expected total score, on the integer row ``int_row``,
+    of an agent picking at the given steps.
 
     Marginalizing over everyone else's uniform, independent rankings, each
     foreign pick removes a uniformly random remaining object of this agent's
     ranking, while her own picks remove the best remaining one.  For each rank
-    position p, the DP state is the number of removed positions above p;
-    probability mass where p itself was removed is dropped.
+    position p, the DP state is the number of removed positions above p, and
+    its weight counts the ways to reach it: a step with r objects left
+    multiplies a weight by how many of its r choices lead on (r for an own
+    pick), so weights before it sum to ``m!/r!``; an own pick of p banks
+    ``int_row[p] * weight * r!``.  Weight where p was removed is dropped.
     """
-    total = Fraction(0)
+    total = 0
     for p in range(1, m + 1):
-        states = {0: Fraction(1)}
+        states = {0: 1}
         for k in range(1, m + 1):
             r = m - k + 1
-            new: dict[int, Fraction] = {}
+            new: dict[int, int] = {}
             if k in picks:
-                for above, pr in states.items():
+                for above, w in states.items():
                     if above == p - 1:
-                        total += pr * score_row[p]
+                        total += int_row[p] * w * math.factorial(r)
                     else:
-                        new[above + 1] = new.get(above + 1, Fraction(0)) + pr
+                        new[above + 1] = new.get(above + 1, 0) + w * r
             else:
-                for above, pr in states.items():
+                for above, w in states.items():
                     low = (p - 1) - above
                     if low:
-                        new[above + 1] = new.get(above + 1, Fraction(0)) + pr * Fraction(low, r)
+                        new[above + 1] = new.get(above + 1, 0) + w * low
                     survive = r - low - 1
                     if survive:
-                        new[above] = new.get(above, Fraction(0)) + pr * Fraction(survive, r)
+                        new[above] = new.get(above, 0) + w * survive
             states = new
             if not states:
                 break
     return total
 
 
-def _expected_utilities(turns: Sequence[int], n: int, score_row: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Expected utility of every agent 1..n under a turn sequence whose fit
-    the caller has checked."""
+def _expected_utilities(turns: Sequence[int], n: int, int_row: tuple[int, ...]) -> tuple[int, ...]:
+    """``m!`` times every agent's expected utility on ``int_row``, under a
+    turn sequence whose fit the caller has checked."""
     picks: list[set[int]] = [set() for _ in range(n)]
     for step, t in enumerate(turns, start=1):
         picks[t - 1].add(step)
-    return tuple(_expected_score_for_positions(len(turns), score_row, frozenset(p)) for p in picks)
+    return tuple(_expected_score_for_positions(len(turns), int_row, frozenset(p)) for p in picks)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +223,9 @@ def optimal_sequential(
             estimated=n**m,
             budget=DEFAULT_SEARCH_BUDGET,
         )
-    score_row = g.score_row(m)
-    return _best_sequence(
+    int_row, denom = g.integer_row(m)
+    pi, best = _best_sequence(
         canonical_turn_sequences(m, n),
-        lambda turns: aggregator.apply(_expected_utilities(turns, n, score_row)),
+        lambda turns: aggregator.apply(_expected_utilities(turns, n, int_row)),
     )
+    return pi, Fraction(best, math.factorial(m) * denom)

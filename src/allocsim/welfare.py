@@ -12,9 +12,9 @@ Everything here is exact.  Each value's route is chosen from its input
 * ``all`` averaged over profiles (y = u) comes from a closed-form DP over the
   remaining ranks (:func:`symmetric_aggregates`), without enumerating
   profiles;
-* a turn sequence averaged over profiles (y = u) comes from the positions DP
-  of :mod:`allocsim.sequential`; z does not matter there, since a sequence
-  has one run;
+* a turn sequence averaged over profiles (y = u) comes from the integer
+  positions DP of :mod:`allocsim.sequential`, divided once per agent; z does
+  not matter there, since a sequence has one run;
 * every other value is one pass over a profile stream with an integer
   per-profile kernel from :mod:`allocsim.parallel`:
   ``all_reporting_values_scaled`` for ``all``, ``sequential_values_scaled``
@@ -27,8 +27,9 @@ Everything here is exact.  Each value's route is chosen from its input
 A pass yields one :class:`ProfileAggregates` record: for each lottery axis,
 every agent's weighted utility sum and minimum over profiles and the weighted
 sum of the per-profile minimum, all integers over one scale, divided only
-when a criterion reads them.  Chunks' records merge by summing in order.
-With ``jobs > 1`` a large enough pass is chunked across one worker
+when a criterion reads them.  A turn sequence has one run, so its pass
+totals one axis and reports it for both.  Chunks' records merge by summing
+in order.  With ``jobs > 1`` a large enough pass is chunked across one worker
 pool that lives as long as that pass; the chunk reduction is order-fixed and
 exact, so results are bit-identical for any worker count.  A search runs its
 candidates' passes in-process and starts no pool.
@@ -282,8 +283,8 @@ def _compute_chunk(task):
 def _stats_for_chunk(orders_iter, policy, g, m, n):
     """Chunk statistics from the per-profile kernel that serves ``policy``:
     one deterministic chain of stages under all-reporting, one run for a turn
-    sequence (whose fit the caller has checked), the memoized lottery
-    recursion for every other policy."""
+    sequence (whose fit the caller has checked; its one vector serves both
+    lottery axes), the memoized lottery recursion for every other policy."""
     int_row, denom = g.integer_row(m)
     if isinstance(policy, AllReporting):
         scale = math.lcm(*range(1, n + 1))
@@ -295,12 +296,19 @@ def _stats_for_chunk(orders_iter, policy, g, m, n):
         )
     if isinstance(policy, FromSequential):
         turns = policy.policy.turns
-
-        def evaluate(orders):
-            v = sequential_values_scaled(turns, orders, int_row, 1)
-            return v, v
-
-        return _chunk_stats(orders_iter, evaluate, n, denom)
+        count = min_sum = 0
+        sums = [0] * n
+        minima = [math.inf] * n
+        for orders, weight in orders_iter:
+            values = sequential_values_scaled(turns, orders, int_row, 1)
+            count += weight
+            for i in range(n):
+                v = values[i]
+                sums[i] += v * weight
+                if v < minima[i]:
+                    minima[i] = v
+            min_sum += min(values) * weight
+        return ProfileAggregates(denom, count, *(dict.fromkeys("ue", s) for s in (tuple(sums), tuple(minima), min_sum)))
     scale = math.lcm(*range(1, n + 1)) ** m
     return _chunk_stats(
         orders_iter,
@@ -473,7 +481,9 @@ def _agent_values(
         if m < 1 or n < 1:
             raise ValueError("m and n must both be at least 1")
         policy.check_fit(m, n)
-        return _expected_utilities(policy.policy.turns, n, g.score_row(m))
+        int_row, denom = g.integer_row(m)
+        values = _expected_utilities(policy.policy.turns, n, int_row)
+        return tuple(Fraction(v, math.factorial(m) * denom) for v in values)
     stats = profile_aggregates(policy, g, m, n, jobs, budget_units)
     return stats.expected(z) if y == "u" else stats.minimum(z)
 

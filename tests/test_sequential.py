@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allocsim.errors import BudgetExceededError, PolicyViolationError
 from allocsim.model import Profile, Ranking, ScoringSpec, identity_ranking
@@ -31,6 +34,43 @@ def picks(pi, profile):
         out.append((agent, node.demands[agent]))
         ((_, node),) = node.edges
     return tuple(out)
+
+
+def fraction_positions_dp(m, score_row, picks):
+    """Expected total score of an agent picking at the given steps, by the
+    positions DP in ``Fraction`` probabilities: the reference for the
+    library's integer form.
+
+    Marginalizing over everyone else's uniform, independent rankings, each
+    foreign pick removes a uniformly random remaining object of this agent's
+    ranking, while her own picks remove the best remaining one.  For each rank
+    position p, the DP state is the number of removed positions above p;
+    probability mass where p itself was removed is dropped.
+    """
+    total = Fraction(0)
+    for p in range(1, m + 1):
+        states = {0: Fraction(1)}
+        for k in range(1, m + 1):
+            r = m - k + 1
+            new: dict[int, Fraction] = {}
+            if k in picks:
+                for above, pr in states.items():
+                    if above == p - 1:
+                        total += pr * score_row[p]
+                    else:
+                        new[above + 1] = new.get(above + 1, Fraction(0)) + pr
+            else:
+                for above, pr in states.items():
+                    low = (p - 1) - above
+                    if low:
+                        new[above + 1] = new.get(above + 1, Fraction(0)) + pr * Fraction(low, r)
+                    survive = r - low - 1
+                    if survive:
+                        new[above] = new.get(above, Fraction(0)) + pr * Fraction(survive, r)
+            states = new
+            if not states:
+                break
+    return total
 
 
 def realized(pi, profile, g):
@@ -161,6 +201,22 @@ class TestExpectedUtility:
                 for agent in range(1, n + 1):
                     assert expected_utility(pi, g, agent, n=n) == slow[agent - 1]
 
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_integer_positions_dp_equals_fraction_dp(self, data):
+        m = data.draw(st.integers(1, 8), label="m")
+        picks = frozenset(data.draw(st.sets(st.integers(1, m)), label="picks"))
+        values = data.draw(st.lists(
+            st.fractions(min_value=Fraction(1, 12), max_value=50, max_denominator=12),
+            min_size=m, max_size=m,
+        ))
+        g = data.draw(st.sampled_from([
+            ScoringSpec.borda(), ScoringSpec.lexicographic(), ScoringSpec.custom(sorted(values, reverse=True)),
+        ]))
+        int_row, denom = g.integer_row(m)
+        counted = _expected_score_for_positions(m, int_row, picks)
+        assert Fraction(counted, math.factorial(m) * denom) == fraction_positions_dp(m, g.score_row(m), picks)
+
     def test_symmetry_reduction_is_exact(self, borda, full_stream_reference):
         for m, n in [(2, 2), (3, 2), (3, 3)]:
             for turns in [(1,) * m, tuple((k % n) + 1 for k in range(m))]:
@@ -221,6 +277,14 @@ class TestOptimalSearch:
         pi, value = optimal_sequential(4, 2, borda, Aggregator.EGALITARIAN)
         assert pi.turns == (1, 2, 2, 1)
         assert value == 6
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_strict_alternation_is_optimal_for_two_agents_under_borda(self, borda, m):
+        # Kalinowski, Narodytska and Walsh (IJCAI 2013): for two agents and
+        # Borda scores, strict alternation maximizes expected utilitarian
+        # welfare; the search's lexicographic tie-break starts it with agent 1.
+        pi, _ = optimal_sequential(m, 2, borda, Aggregator.UTILITARIAN)
+        assert pi.literal() == "12" * (m // 2) + "1" * (m % 2)
 
     def test_canonicalize(self):
         assert canonicalize_turns((2, 1)) == (1, 2)
