@@ -52,7 +52,7 @@ class Aggregator(enum.Enum):
     UTILITARIAN = "u"  # sum
     EGALITARIAN = "e"  # min
 
-    def apply(self, values: Iterable[Fraction]) -> Fraction:
+    def apply(self, values: Iterable[int | Fraction]) -> int | Fraction:
         """The fold of one or more values; integers fold to an integer."""
         return sum(values) if self is Aggregator.UTILITARIAN else min(values)
 
@@ -188,8 +188,8 @@ def canonical_turn_sequences(m: int, n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _best_sequence(
-    candidates: Iterable[tuple[int, ...]], value_of: Callable[[tuple[int, ...]], Fraction]
-) -> tuple[SequentialPolicy, Fraction]:
+    candidates: Iterable[tuple[int, ...]], value_of: Callable[[tuple[int, ...]], int | Fraction]
+) -> tuple[SequentialPolicy, int | Fraction]:
     """The candidate of highest value, with that value.  A tie keeps the
     earlier candidate, so candidates in lexicographic order break ties to the
     smallest sequence."""
