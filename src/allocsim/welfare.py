@@ -31,8 +31,11 @@ when a criterion reads them.  A turn sequence has one run, so its pass
 totals one axis and reports it for both.  Chunks' records merge by summing
 in order.  With ``jobs > 1`` a large enough pass is chunked across one worker
 pool that lives as long as that pass; the chunk reduction is order-fixed and
-exact, so results are bit-identical for any worker count.  A search runs its
-candidates' passes in-process and starts no pool.
+exact, so results are bit-identical for any worker count.  The expected-min
+search over turn sequences runs no pass per candidate: it walks the profile
+stream once, in chunks, runs every candidate over each chunk with the turns
+of a shared prefix replayed once (:func:`_add_min_sums`), in-process, and
+starts no pool.
 """
 
 from __future__ import annotations
@@ -90,6 +93,9 @@ DEFAULT_BUDGET_SECS = 60.0
 # one desktop core); only used to turn a seconds budget into a work-unit cap.
 UNITS_PER_SECOND = 200_000
 BUDGET_ENV_VAR = "ALLOC_BUDGET_SECS"
+# Profile-stream items per chunk of the expected-min search: the per-turn
+# columns it keeps stay small, and each turn still loops over many items.
+SEARCH_CHUNK_ITEMS = 1024
 
 
 def resolve_budget_units(budget_secs: float | None = None) -> int:
@@ -608,15 +614,71 @@ def optimal_sequential_expected_min(
     budget_units: int | None = None,
 ) -> tuple[SequentialPolicy, Fraction]:
     """Argmax of the expected per-profile minimum utility over all turn
-    sequences (canonical representatives, lexicographic tie-break).  Each
-    candidate's profile pass runs in-process."""
+    sequences (canonical representatives, lexicographic tie-break).  All
+    candidates are run in-process over each chunk of the profile stream in
+    turn (see :func:`_add_min_sums`) and compared as integers at one scale;
+    only the winner's value is divided."""
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
-    budget = _within_budget(n**m * math.factorial(m) ** (n - 1) * m, budget_units, "search needs about")
-    return _best_sequence(
-        canonical_turn_sequences(m, n),
-        lambda turns: expected_min_welfare("u", FromSequential(SequentialPolicy(turns)), g, m, n, budget_units=budget),
-    )
+    _within_budget(n**m * math.factorial(m) ** (n - 1) * m, budget_units, "search needs about")
+    stream = enumerate_profiles(m, n)
+    int_row, denom = g.integer_row(m)
+    candidates = list(canonical_turn_sequences(m, n))
+    sums = [0] * len(candidates)
+    for chunk in stream.partition(-(-stream.count // SEARCH_CHUNK_ITEMS)):
+        _add_min_sums(chunk, int_row, candidates, sums)
+    pi, best = _best_sequence(candidates, dict(zip(candidates, sums)).__getitem__)
+    return pi, Fraction(best, stream.count * denom)
+
+
+def _add_min_sums(stream, int_row, candidates, sums) -> None:
+    """Add to ``sums[i]`` the sum, over the items of ``stream``, of the
+    per-profile minimum across agents of candidate ``i``'s realized utility
+    on ``int_row``.  Every item weighs the same, so over the whole stream
+    that sum is ``count * denom`` times the expected minimum that
+    :func:`expected_min_welfare` reads off the candidate's profile pass.
+
+    A candidate replays only the turns after the prefix it shares with the
+    candidate before, which in lexicographic order is most of them: every
+    item's state after each turn of that candidate (the taken objects as a
+    bitmask, each agent's pointer into her ranking and her total) is kept,
+    one column per agent, and a turn rebuilds only the mask and its agent's
+    two columns.  The per-turn step is that of
+    :func:`sequential_values_scaled`.
+    """
+    n = stream.n
+    columns: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for orders, _ in stream.iter_order_rows():
+        for column, ranking in zip(columns, orders):
+            column.append(ranking)
+    zero = [0] * len(columns[0])
+    states = [(zero, (zero,) * n, (zero,) * n)]  # after 0, 1, ... turns of `replayed`
+    replayed: tuple[int, ...] = ()
+    for i, turns in enumerate(candidates):
+        k = 0
+        while k < len(replayed) and turns[k] == replayed[k]:
+            k += 1
+        del states[k + 1:]
+        for agent in turns[k:]:
+            masks, pointers, totals = states[-1]
+            a = agent - 1
+            new_masks, new_pointers, new_totals = [], [], []
+            for row, mask, p, total in zip(columns[a], masks, pointers[a], totals[a]):
+                t = row[p]
+                while mask >> t & 1:
+                    p += 1
+                    t = row[p]
+                new_masks.append(mask | 1 << t)
+                new_pointers.append(p)
+                new_totals.append(total + int_row[p + 1])
+            states.append((
+                new_masks,
+                pointers[:a] + (new_pointers,) + pointers[a + 1:],
+                totals[:a] + (new_totals,) + totals[a + 1:],
+            ))
+        replayed = turns
+        totals = states[-1][2]
+        sums[i] += sum(map(min, *totals)) if n > 1 else sum(totals[0])
 
 
 def _scoring_for(table: TableSpec) -> ScoringSpec:

@@ -415,9 +415,32 @@ class TestTables:
         assert pi.turns == (1, 2)
         assert value == Fraction(3, 2)
 
+    @pytest.mark.parametrize("chunk_items", [1, 5, 1024])
+    @pytest.mark.parametrize(
+        "m, n, g",
+        [(1, 1, ScoringSpec.borda()), (4, 1, ScoringSpec.lexicographic()), (5, 2, ScoringSpec.borda()),
+         (4, 2, custom_row(4)), (3, 3, ScoringSpec.lexicographic()), (4, 3, custom_row(4)),
+         (3, 4, ScoringSpec.borda())],
+    )
+    def test_expected_min_search_equals_each_candidates_pass(self, monkeypatch, chunk_items, m, n, g):
+        # The oracle is every candidate's own profile pass.  The stream is
+        # cut into chunks of one agent-2 ranking, of a few, and not at all.
+        monkeypatch.setattr(welfare, "SEARCH_CHUNK_ITEMS", chunk_items)
+        candidates = list(canonical_turn_sequences(m, n))
+        passes = [expected_min_welfare("u", FromSequential(SequentialPolicy(turns)), g, m, n) for turns in candidates]
+        stream = enumerate_profiles(m, n)
+        sums = [0] * len(candidates)
+        for chunk in stream.partition(-(-stream.count // chunk_items)):
+            welfare._add_min_sums(chunk, g.integer_row(m)[0], candidates, sums)
+        scale = stream.count * g.integer_row(m)[1]
+        assert [Fraction(s, scale) for s in sums] == passes
+        best = max(passes)
+        pi, value = optimal_sequential_expected_min(m, n, g)
+        assert (pi.turns, value) == (candidates[passes.index(best)], best)
+
     def test_table_five_cell_starts_one_pool(self, pools):
-        # The 16 candidates' passes run in-process; only the all-reporting
-        # column's pass is spread over workers.
+        # The search over 16 candidates runs in-process; only the
+        # all-reporting column's pass is spread over workers.
         serial = reproduce_table(5, cells=[(5, 2)], jobs=1)
         assert pools == []
         pooled = reproduce_table(5, cells=[(5, 2)], jobs=2)
