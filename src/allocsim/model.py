@@ -14,11 +14,12 @@ agents' rankings in lexicographic order and weights every item by ``m!``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ProfileParseError
 
@@ -241,15 +242,23 @@ class ProfileStream:
     def total_weight(self) -> int:
         return self.count * self.item_weight
 
-    def partition(self, parts: int) -> list["ProfileStream"]:
-        """Split into at most ``parts`` disjoint streams covering the same items."""
+    def partition(self, parts: int, lead_items: Callable[[int], int] | None = None) -> list["ProfileStream"]:
+        """Split into at most ``parts`` disjoint streams covering the same
+        items, of about equal size: the k-th cut follows the first of agent
+        2's rankings at which the items walked so far reach k / ``parts`` of
+        the total, so no part exceeds that share by more than one ranking's
+        items.  ``lead_items(i)`` is the number of items a walk yields for
+        agent 2's ranking ``i``; by default every ranking yields the same."""
         if parts < 1:
             raise ValueError("parts must be positive")
         if self.n == 1:
             return [self]
-        span = self.hi - self.lo
-        parts = min(parts, span) or 1
-        bounds = [self.lo + (span * k) // parts for k in range(parts + 1)]
+        parts = min(parts, self.hi - self.lo) or 1
+        sizes = (lead_items(i) if lead_items else 1 for i in range(self.lo, self.hi))
+        walked = list(itertools.accumulate(sizes))
+        total = walked[-1] if walked else 0
+        cuts = [self.lo + bisect.bisect_left(walked, -(-total * k // parts)) + 1 for k in range(1, parts)]
+        bounds = [self.lo, *cuts, self.hi]
         return [ProfileStream(self.m, self.n, lo=a, hi=b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
     def iter_order_rows(self) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:

@@ -17,13 +17,16 @@ Two per-agent values are computed at every node:
 For a policy embedding a turn sequence there is a single run and both equal
 the realized sequential utility.
 
-Every value the package reports comes from the integer kernels at the end
-of this module: ``all_reporting_values_scaled`` for all-reporting,
-``sequential_values_scaled`` for a turn sequence and
-``policy_values_scaled`` for any other policy, over a profile stream or over
-one profile.  The structure draws ``simulate``'s stage trace.  Its two
-recursions are, with :func:`enumerate_outcomes`, the reference the tests
-hold the kernels to; they are not exported from the package.
+Every per-profile value the package reports comes from the integer
+kernels at the end of this module: ``all_reporting_values_scaled`` for
+all-reporting, ``sequential_values_scaled`` for a turn sequence and
+``policy_values_scaled`` for any other policy.  Over the profile space only
+``policy_values_scaled`` runs; :mod:`allocsim.welfare` serves all-reporting
+and turn sequences there without enumerating profiles, and the tests hold
+that to a profile pass of the other two kernels.  The structure draws
+``simulate``'s stage trace.  Its two recursions are, with
+:func:`enumerate_outcomes`, the reference the tests hold the kernels to;
+they are not exported from the package.
 """
 
 from __future__ import annotations

@@ -15,27 +15,34 @@ Everything here is exact.  Each value's route is chosen from its input
 * a turn sequence averaged over profiles (y = u) comes from the integer
   positions DP of :mod:`allocsim.sequential`, divided once per agent; z does
   not matter there, since a sequence has one run;
-* every other value is one pass over a profile stream with an integer
-  per-profile kernel from :mod:`allocsim.parallel`:
-  ``all_reporting_values_scaled`` for ``all``, ``sequential_values_scaled``
-  for a turn sequence and ``policy_values_scaled`` for ``loser`` and custom
-  policies.  A profile-space pass streams one representative per object
-  relabeling, and for ``all`` and ``loser``, which treat agents alike,
-  evaluates one per relabeling of agents 2..n; a single profile
-  (:func:`profile_utilities`) is a stream of one item.
+* every other value of ``all`` or of a turn sequence (y = e, ``em-u``,
+  ``em-e``) comes from one integer DP over the joint law of a run
+  (:func:`joint_law_aggregates`), in which every agent draws her ranking
+  lazily from the top, without enumerating profiles;
+* every value of ``loser`` and custom policies is one pass over a profile
+  stream (:func:`profile_aggregates`) with the memoized integer kernel
+  ``policy_values_scaled`` of :mod:`allocsim.parallel`; a single profile
+  (:func:`profile_utilities`) is a stream of one item, through
+  ``all_reporting_values_scaled`` for ``all`` and
+  ``sequential_values_scaled`` for a turn sequence.  The pass takes ``all``
+  and turn sequences too, as the oracle the tests hold the closed forms and
+  the joint law to.  A profile-space pass streams one representative per
+  object relabeling, and for ``all`` and ``loser``, which treat agents
+  alike, evaluates one per relabeling of agents 2..n.
 
 A pass yields one :class:`ProfileAggregates` record: for each lottery axis,
 every agent's weighted utility sum and minimum over profiles and the weighted
 sum of the per-profile minimum, all integers over one scale, divided only
 when a criterion reads them.  A turn sequence has one run, so its pass
-totals one axis and reports it for both.  Chunks' records merge by summing
-in order.  With ``jobs > 1`` a large enough pass is chunked across one worker
-pool that lives as long as that pass; the chunk reduction is order-fixed and
-exact, so results are bit-identical for any worker count.  The expected-min
-search over turn sequences runs no pass per candidate: it walks the profile
-stream once, in chunks, runs every candidate over each chunk with the turns
-of a shared prefix replayed once (:func:`_add_min_sums`), in-process, and
-starts no pool.
+totals one axis and reports it for both.  The joint law yields the same
+integers, for the lottery axis asked.  Chunks' records merge by summing in
+order.  With ``jobs > 1`` a large enough pass is chunked across one worker
+pool that lives as long as that pass, its chunks holding about equal
+numbers of profiles; the chunk reduction is order-fixed and exact, so
+results are bit-identical for any worker count.  The expected-min search
+over turn sequences scores every candidate on the joint law of its run,
+replaying only the turns after the prefix it shares with the candidate
+before; it runs in-process and starts no pool.
 """
 
 from __future__ import annotations
@@ -93,9 +100,6 @@ DEFAULT_BUDGET_SECS = 60.0
 # one desktop core); only used to turn a seconds budget into a work-unit cap.
 UNITS_PER_SECOND = 200_000
 BUDGET_ENV_VAR = "ALLOC_BUDGET_SECS"
-# Profile-stream items per chunk of the expected-min search: the per-turn
-# columns it keeps stay small, and each turn still loops over many items.
-SEARCH_CHUNK_ITEMS = 1024
 
 
 def resolve_budget_units(budget_secs: float | None = None) -> int:
@@ -208,7 +212,7 @@ class ProfileAggregates:
         Over one profile per orbit of agents 2..n these are agent 1's alone;
         over the whole profile space every agent's agree with them when the
         policy treats agents alike."""
-        n = len(self.sums["u"])
+        n = len(next(iter(self.sums.values())))
         return replace(
             self,
             sums={z: s[:1] * n for z, s in self.sums.items()},
@@ -272,6 +276,14 @@ def _sorted_others(stream):
                 ways = ways * k // run
                 before = index
             yield head + tuple(map(rankings.__getitem__, rest)), weight * ways
+
+
+def _orbit_items(m: int, n: int):
+    """The number of items :func:`_sorted_others` walks for each index of
+    agent 2's ranking: the non-decreasing choices of the n - 2 later
+    rankings from that index on."""
+    rankings = math.factorial(m)
+    return lambda lead: math.comb(rankings - lead + n - 3, n - 2)
 
 
 def _compute_chunk(task):
@@ -344,7 +356,8 @@ def profile_aggregates(
     ``all`` and ``loser`` also per agent relabeling; see :func:`_compute_chunk`).
 
     With more than one worker, a pass of more than ``4 * workers`` items runs
-    in one pool started for it and shut down with it.  Only the built-in
+    in one pool started for it and shut down with it, cut into ``4 *
+    workers`` chunks of about equal numbers of walked items.  Only the built-in
     policies are pooled: a ``CustomPolicy`` may wrap any callable, a lambda
     say, which cannot be pickled for a worker.
     """
@@ -353,13 +366,14 @@ def profile_aggregates(
     workers = worker_count(jobs, os.cpu_count())
     policy.check_fit(m, n)
     stream = enumerate_profiles(m, n)
-    items = stream.count
-    if isinstance(policy, (AllReporting, LoserReporting)):
-        items = math.comb(math.factorial(m) + n - 2, n - 1)  # sorted rankings of agents 2..n
+    orbits = isinstance(policy, (AllReporting, LoserReporting))
+    # with orbits, the sorted rankings of agents 2..n
+    items = math.comb(math.factorial(m) + n - 2, n - 1) if orbits else stream.count
     _within_budget(items * m, budget_units, "enumeration needs about")
-    built_in = isinstance(policy, (AllReporting, LoserReporting, FromSequential))
+    built_in = orbits or isinstance(policy, FromSequential)
     if workers > 1 and built_in and stream.count > 4 * workers:
-        tasks = [(chunk, policy, g) for chunk in stream.partition(workers * 4)]
+        chunks = stream.partition(workers * 4, _orbit_items(m, n) if orbits else None)
+        tasks = [(chunk, policy, g) for chunk in chunks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return ProfileAggregates.merge(list(pool.map(_compute_chunk, tasks)))
     return _compute_chunk((stream, policy, g))
@@ -462,6 +476,208 @@ def symmetric_aggregates(
 
 
 # ---------------------------------------------------------------------------
+# Joint law of a run, for all-reporting and turn sequences.  Let every agent
+# draw her ranking lazily, from the top: an agent who needs her best
+# remaining object reveals her next positions, each a uniform pick among the
+# objects she has not revealed yet.  Under both protocols every object an
+# agent has revealed is gone: she demanded it, and a demanded object leaves
+# play at its stage, or it was gone when she revealed it.  So the r
+# remaining objects lie among her m - p unrevealed ones, and by deferred
+# decisions her next demand is uniform over them, independently of the
+# other agents' draws and of how far she reveals: position p + j + 1, in
+# T!/(T - j)! ways, when she first reveals j of her T = m - p - r
+# unrevealed gone objects.  Which objects remain then never matters, only
+# how many: a state is r with each agent's (position, total), and its
+# weight counts the ways to reach it.  When no object is left, each agent's
+# unrevealed rest still orders in (m - p)! ways, so the finished weights
+# sum to (m!)**n, the total weight of a profile pass, and every statistic of
+# the run's totals comes out as that pass's integers.
+
+
+class _RunLaw:
+    """The steps of the joint law of a run on the integer score row
+    ``int_row``, and its work units: one per agent entry of every state it
+    writes, into a next law or on the way through an all-reporting stage,
+    so n per transition; the entries are what a law holds in memory.  The
+    running count raises ``BudgetExceededError`` once it passes the budget,
+    checked at every state expanded."""
+
+    def __init__(self, m: int, n: int, int_row: tuple[int, ...], budget_units: int | None):
+        self.m, self.n, self.int_row = m, n, int_row
+        # reveals[t][j]: ways to reveal first j of t unrevealed gone objects
+        self.reveals = [[math.perm(t, j) for j in range(t + 1)] for t in range(m + 1)]
+        self.orders = [math.factorial(k) for k in range(m + 1)]
+        self.budget = budget_units if budget_units is not None else resolve_budget_units()
+        self.transitions = 0  # the work units are n times this
+
+    def start(self) -> dict:
+        return {(self.m, ((0, 0),) * self.n): 1}
+
+    def _visit(self, transitions: int) -> None:
+        self.transitions += transitions
+        _within_budget(self.transitions * self.n, self.budget, "the joint-law DP needs at least")
+
+    def _room(self) -> int:
+        """The transitions left within the budget."""
+        return self.budget // self.n - self.transitions
+
+    def turn(self, law: dict, agent: int) -> dict:
+        """The law after ``agent`` takes her best remaining object."""
+        step: dict = {}
+        row = self.int_row
+        a = agent - 1
+        visited, room = 0, self._room()
+        for (r, entries), weight in law.items():
+            p, own = entries[a]
+            reveals = self.reveals[self.m - p - r]
+            visited += len(reveals)
+            if visited > room:
+                break  # refused below
+            weight *= r  # her demand is any of the r remaining objects
+            for q, ways in enumerate(reveals, start=p + 1):
+                key = (r - 1, entries[:a] + ((q, own + row[q]),) + entries[a + 1:])
+                step[key] = step.get(key, 0) + weight * ways
+        self._visit(visited)
+        return step
+
+    def all_reporting(self, scale: int, z: str, joint: bool) -> dict:
+        """The weight of each all-reporting run's totals, times ``scale``
+        (divisible by 1..n): a demand with c contenders banks score/c for
+        ``z = "u"``, and the full score only when c = 1 for ``z = "e"``.
+        Agents 2..n are alike, so their entries are kept sorted; without
+        ``joint`` their totals stay 0."""
+        # bank[c][q]: what a demand at rank q banks with c contenders
+        bank = [[]] + [
+            [score * scale // c if z == "u" else score * scale * (c == 1) for score in self.int_row]
+            for c in range(1, self.n + 1)
+        ]
+        law, done = self.start(), {}
+        while law:
+            law = self._stage(law, done, bank, joint)
+        return done
+
+    def _stage(self, law: dict, done: dict, bank: list[list[int]], joint: bool) -> dict:
+        """The law after one all-reporting stage; the totals of runs that end
+        go to ``done``.  The agents' demands are drawn in turn, agent 1's first:
+        each falls on the object of a block of agents drawn before, or opens
+        a block on another remaining object.  Only the blocks matter: at the
+        stage's end every agent banks against the size of her block, and the
+        k blocks' objects are chosen in r!/(r - k)! ways.  Without ``joint``
+        only agent 1 banks, so the other blocks need not be told apart:
+        their agents are all labelled 1."""
+        step: dict = {}
+        for (r, ((p, own), *others)), weight in law.items():
+            # (agent 1's (rank, total), the others' (rank, total, block) sorted,
+            # blocks) -> ways
+            partial = {((q, own), (), 1): w for q, w in enumerate(self.reveals[self.m - p - r], start=p + 1)}
+            visited = len(partial)
+            for at, total in others:
+                reveal = self.reveals[self.m - at - r]
+                grown: dict = {}
+                for (first, rest, blocks), ways in partial.items():
+                    if joint:
+                        choices = [(b, max(blocks, b + 1), 1) for b in range(min(blocks + 1, r))]
+                    else:
+                        choices = [(0, blocks, 1), (1, blocks, blocks - 1), (1, blocks + 1, int(blocks < r))]
+                    for b, blocks_after, times in choices:
+                        if not times:
+                            continue
+                        for q, w in enumerate(reveal, start=at + 1):
+                            key = (first, tuple(sorted(rest + ((q, total, b),))), blocks_after)
+                            grown[key] = grown.get(key, 0) + ways * w * times
+                        visited += len(reveal)
+                if visited > self._room():
+                    self._visit(visited)  # refused
+                partial = grown
+            for ((q, own), rest, blocks), ways in partial.items():
+                sizes = [1] + [0] * (blocks - 1)
+                for *_, b in rest:
+                    sizes[b] += 1
+                banked = ((rank, total + bank[sizes[b]][rank] if joint else 0) for rank, total, b in rest)
+                entries = ((q, own + bank[sizes[0]][q]),) + tuple(sorted(banked))
+                ways *= weight * math.perm(r, blocks)
+                if r > blocks:
+                    key = (r - blocks, entries)
+                    step[key] = step.get(key, 0) + ways
+                else:
+                    self._end(done, entries, ways)
+            self._visit(visited + len(partial))
+        return step
+
+    def _end(self, done: dict, entries: tuple[tuple[int, int], ...], weight: int) -> None:
+        """Add a run that ended with ``entries`` to ``done``, keyed by its
+        totals, agent 1's first, with every agent's unrevealed rest ordered."""
+        for p, _ in entries:
+            weight *= self.orders[self.m - p]
+        totals = tuple(own for _, own in entries)
+        done[totals] = done.get(totals, 0) + weight
+
+    def finished(self, law: dict) -> dict[tuple[int, ...], int]:
+        """The weight of each run's totals, from the law after the last turn."""
+        done: dict = {}
+        for (_, entries), weight in law.items():
+            self._end(done, entries, weight)
+        return done
+
+
+def joint_law_aggregates(
+    policy: ParallelPolicy,
+    g: ScoringSpec,
+    m: int,
+    n: int,
+    z: str,
+    budget_units: int | None = None,
+    joint: bool = True,
+) -> ProfileAggregates:
+    """The record of the profile pass of ``all`` or a turn sequence, for
+    lottery axis ``z``, read off the joint law of a run instead of a walk of
+    the profile stream: the same integers at the same scale.  A turn
+    sequence's one run fills both axes.  Under ``all`` the record reports
+    agent 1's sums and minima for every agent, as the pass does; with
+    ``joint=False`` agents 2..n keep no totals, which leaves agent 1's
+    statistics and no per-profile minimum (``min_sums`` is empty).  The
+    work units are those of :class:`_RunLaw`."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must both be at least 1")
+    policy.check_fit(m, n)
+    int_row, denom = g.integer_row(m)
+    run = _RunLaw(m, n, int_row, budget_units)
+    if isinstance(policy, FromSequential):
+        law = run.start()
+        for agent in policy.policy.turns:
+            law = run.turn(law, agent)
+        return _law_record(run.finished(law), "ue", denom, joint=True)
+    if not isinstance(policy, AllReporting):
+        raise ValueError("the joint law only serves all-reporting and turn sequences")
+    scale = math.lcm(*range(1, n + 1))
+    return _law_record(run.all_reporting(scale, z, joint), z, scale * denom, joint).agent_one_for_all()
+
+
+def _law_record(ended: dict[tuple[int, ...], int], axes: str, scale: int, joint: bool) -> ProfileAggregates:
+    """The record, for each lottery axis in ``axes``, of the weights of
+    ended runs' totals: every agent's sum and minimum, and with ``joint``
+    the sum of the per-run minimum across agents."""
+    n = len(next(iter(ended)))
+    count = min_sum = 0
+    sums = [0] * n
+    minima = [math.inf] * n
+    for totals, weight in ended.items():
+        count += weight
+        for i in range(n):
+            sums[i] += totals[i] * weight
+            minima[i] = min(minima[i], totals[i])
+        if joint:
+            min_sum += min(totals) * weight
+    return ProfileAggregates(
+        scale,
+        count,
+        dict.fromkeys(axes, tuple(sums)),
+        dict.fromkeys(axes, tuple(minima)),
+        dict.fromkeys(axes, min_sum) if joint else {},
+    )
+
+
+# ---------------------------------------------------------------------------
 # Criterion evaluation
 
 
@@ -478,8 +694,9 @@ def _agent_values(
     """Every agent's mean (y = u) or worst case (y = e) over all profiles of
     her expected (z = u) or guaranteed (z = e) utility, by the route the
     input allows.  The profile averages of ``all`` and of a turn sequence
-    have closed forms; every other value is read off one profile pass, the
-    oracle the tests hold the closed forms to."""
+    have closed forms, and their worst cases come from the joint law of a
+    run; every other value is read off one profile pass, the oracle the
+    tests hold the closed forms and the law to."""
     if y == "u" and isinstance(policy, AllReporting):
         expected, guaranteed = symmetric_aggregates(policy, g, m, n, budget_units)
         return (expected if z == "u" else guaranteed,) * n
@@ -490,8 +707,26 @@ def _agent_values(
         int_row, denom = g.integer_row(m)
         values = _expected_utilities(policy.policy.turns, n, int_row)
         return tuple(Fraction(v, math.factorial(m) * denom) for v in values)
-    stats = profile_aggregates(policy, g, m, n, jobs, budget_units)
+    stats = _space_record(policy, g, m, n, z, False, jobs, budget_units)
     return stats.expected(z) if y == "u" else stats.minimum(z)
+
+
+def _space_record(
+    policy: ParallelPolicy,
+    g: ScoringSpec,
+    m: int,
+    n: int,
+    z: str,
+    joint: bool,
+    jobs: int,
+    budget_units: int | None,
+) -> ProfileAggregates:
+    """The record a profile-space value is read from: the joint law of a run
+    for ``all`` and turn sequences (``joint`` as in
+    :func:`joint_law_aggregates`), one profile pass for every other policy."""
+    if isinstance(policy, (AllReporting, FromSequential)):
+        return joint_law_aggregates(policy, g, m, n, z, budget_units, joint)
+    return profile_aggregates(policy, g, m, n, jobs, budget_units)
 
 
 def agent_value(
@@ -534,10 +769,11 @@ def evaluate_criterion(
     jobs: int = 1,
     budget_units: int | None = None,
 ) -> Fraction:
-    """A criterion's value: the expected-min reading, from one profile pass,
-    or the per-agent values over profiles (y) folded over agents (x)."""
+    """A criterion's value: the expected-min reading, from the record of
+    :func:`_space_record`, or the per-agent values over profiles (y) folded
+    over agents (x)."""
     if criterion.mode == "emin":
-        return profile_aggregates(policy, g, m, n, jobs, budget_units).expected_min(criterion.z)
+        return _space_record(policy, g, m, n, criterion.z, True, jobs, budget_units).expected_min(criterion.z)
     return Aggregator(criterion.x).apply(_agent_values(criterion.y, criterion.z, policy, g, m, n, jobs, budget_units))
 
 
@@ -614,71 +850,35 @@ def optimal_sequential_expected_min(
     budget_units: int | None = None,
 ) -> tuple[SequentialPolicy, Fraction]:
     """Argmax of the expected per-profile minimum utility over all turn
-    sequences (canonical representatives, lexicographic tie-break).  All
-    candidates are run in-process over each chunk of the profile stream in
-    turn (see :func:`_add_min_sums`) and compared as integers at one scale;
-    only the winner's value is divided."""
+    sequences (canonical representatives, lexicographic tie-break).  Every
+    candidate is scored on the joint law of its run, compared as integers at
+    the profile stream's scale; only the winner's value is divided.
+
+    Candidates come in lexicographic order, and the law after each turn of
+    the current candidate is kept, so a candidate replays only the turns
+    after the prefix it shares with the one before.  The work units are
+    those of :class:`_RunLaw`, counted over the whole search."""
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
-    _within_budget(n**m * math.factorial(m) ** (n - 1) * m, budget_units, "search needs about")
-    stream = enumerate_profiles(m, n)
     int_row, denom = g.integer_row(m)
-    candidates = list(canonical_turn_sequences(m, n))
-    sums = [0] * len(candidates)
-    for chunk in stream.partition(-(-stream.count // SEARCH_CHUNK_ITEMS)):
-        _add_min_sums(chunk, int_row, candidates, sums)
-    pi, best = _best_sequence(candidates, dict(zip(candidates, sums)).__getitem__)
-    return pi, Fraction(best, stream.count * denom)
-
-
-def _add_min_sums(stream, int_row, candidates, sums) -> None:
-    """Add to ``sums[i]`` the sum, over the items of ``stream``, of the
-    per-profile minimum across agents of candidate ``i``'s realized utility
-    on ``int_row``.  Every item weighs the same, so over the whole stream
-    that sum is ``count * denom`` times the expected minimum that
-    :func:`expected_min_welfare` reads off the candidate's profile pass.
-
-    A candidate replays only the turns after the prefix it shares with the
-    candidate before, which in lexicographic order is most of them: every
-    item's state after each turn of that candidate (the taken objects as a
-    bitmask, each agent's pointer into her ranking and her total) is kept,
-    one column per agent, and a turn rebuilds only the mask and its agent's
-    two columns.  The per-turn step is that of
-    :func:`sequential_values_scaled`.
-    """
-    n = stream.n
-    columns: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for orders, _ in stream.iter_order_rows():
-        for column, ranking in zip(columns, orders):
-            column.append(ranking)
-    zero = [0] * len(columns[0])
-    states = [(zero, (zero,) * n, (zero,) * n)]  # after 0, 1, ... turns of `replayed`
+    run = _RunLaw(m, n, int_row, budget_units)
+    item = math.factorial(m)  # the weight of a profile-stream item
+    laws = [run.start()]  # after 0, 1, ... turns of `replayed`
     replayed: tuple[int, ...] = ()
-    for i, turns in enumerate(candidates):
+
+    def min_sum(turns: tuple[int, ...]) -> int:
+        nonlocal replayed
         k = 0
         while k < len(replayed) and turns[k] == replayed[k]:
             k += 1
-        del states[k + 1:]
+        del laws[k + 1:]
         for agent in turns[k:]:
-            masks, pointers, totals = states[-1]
-            a = agent - 1
-            new_masks, new_pointers, new_totals = [], [], []
-            for row, mask, p, total in zip(columns[a], masks, pointers[a], totals[a]):
-                t = row[p]
-                while mask >> t & 1:
-                    p += 1
-                    t = row[p]
-                new_masks.append(mask | 1 << t)
-                new_pointers.append(p)
-                new_totals.append(total + int_row[p + 1])
-            states.append((
-                new_masks,
-                pointers[:a] + (new_pointers,) + pointers[a + 1:],
-                totals[:a] + (new_totals,) + totals[a + 1:],
-            ))
+            laws.append(run.turn(laws[-1], agent))
         replayed = turns
-        totals = states[-1][2]
-        sums[i] += sum(map(min, *totals)) if n > 1 else sum(totals[0])
+        return sum(min(totals) * weight for totals, weight in run.finished(laws[-1]).items()) // item
+
+    pi, best = _best_sequence(canonical_turn_sequences(m, n), min_sum)
+    return pi, Fraction(best, item ** (n - 1) * denom)
 
 
 def _scoring_for(table: TableSpec) -> ScoringSpec:
@@ -696,8 +896,8 @@ def reproduce_table(
     """Recompute one comparison table: per cell, the optimal turn sequence
     under the table's criterion next to the all-reporting policy's value.
 
-    Cells whose deterministic work estimate exceeds the budget are emitted
-    with status ``timeout`` instead of aborting the run.
+    Cells whose deterministic work exceeds the budget are emitted with
+    status ``timeout`` instead of aborting the run.
     """
     if table_id not in TABLE_SPECS:
         raise ValueError(f"unknown table id {table_id}")
@@ -711,16 +911,13 @@ def reproduce_table(
                 continue
             if max_n is not None and n > max_n:
                 continue
-        # Run the budgeted part that refuses cheaply first: table 5's search
-        # checks its budget up front, while its all-reporting pass enumerates;
-        # tables 1-4 answer the all-reporting column in milliseconds and
-        # their pi* search has no budget.
+        # The all-reporting column runs first: it is the cheaper part to
+        # refuse, and the pi* search of tables 1-4 has no budget.
         try:
+            value_all = evaluate_criterion(table.criterion, AllReporting(), g, m, n, jobs, budget_units)
             if table.criterion.mode == "emin":
                 pi_star, value_star = optimal_sequential_expected_min(m, n, g, budget_units=budget_units)
-                value_all = evaluate_criterion(table.criterion, AllReporting(), g, m, n, jobs, budget_units)
             else:
-                value_all = evaluate_criterion(table.criterion, AllReporting(), g, m, n, jobs, budget_units)
                 pi_star, value_star = optimal_sequential(m, n, g, Aggregator(table.criterion.x))
             rows.append(TableRow(table_id, m, n, pi_star, value_star, value_all))
         except BudgetExceededError:

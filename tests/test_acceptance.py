@@ -115,6 +115,8 @@ TABLE5 = {
     (4, 2): ("1221", "5.667", "5.958"),
     (5, 2): ("12122", "8.483", "8.992"),
     (6, 2): ("121221", "12.397", "12.736"),
+    (7, 2): ("1212122", "16.560", "17.082"),
+    (8, 2): ("12122121", "21.738", "22.129"),
 }
 
 

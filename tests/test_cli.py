@@ -159,8 +159,8 @@ def _bad_inputs():
                      id="eval-space-seq:123-m4"),
     ]
     # A misfit sequence is refused before any budget, whichever route the
-    # criterion takes: the positions DP (uuu) or a profile pass far over
-    # the default budget (ueu, em-u).
+    # criterion takes: the positions DP (uuu) or the joint law of a run
+    # (ueu, em-u).
     for criterion in ("uuu", "ueu", "em-u"):
         cases.append(pytest.param(
             ["eval", "--policy", "seq:123456789", "-m", "9", "-n", "3", "--criterion", criterion], 5,
@@ -245,8 +245,8 @@ class TestExitCodes:
         run_cli("simulate", "--policy", "all", "--profile", str(bad), expect_code=3)
 
     def test_budget_error_is_4(self):
-        # The worst profile (y = e) has no closed form, so it still enumerates.
-        run_cli("eval", "-m", "9", "-n", "3", "--policy", "all", "--criterion", "ueu", expect_code=4)
+        # ``loser`` has no closed form and no joint law, so it still enumerates.
+        run_cli("eval", "-m", "9", "-n", "3", "--policy", "loser", "--criterion", "ueu", expect_code=4)
 
     def test_policy_violation_is_5(self, profile_file):
         run_cli("simulate", "--policy", "seq:12", "--profile", profile_file, expect_code=5)
@@ -291,6 +291,14 @@ class TestEval:
         (row,) = [line for line in table.splitlines() if line.startswith("1,7,3,")]
         assert row.split(",")[-1] == "38.864"
 
+    def test_joint_law_answers_past_the_old_estimate(self):
+        # A profile pass would need 88.9M work units for ``all`` and 177.8M
+        # for a turn sequence at (7, 3), over the default budget; the joint
+        # law of a run answers both.
+        assert run_cli("eval", "--policy", "all", "-m", "7", "-n", "3", "--criterion", "eeu").strip() == "7.8333"
+        out = run_cli("eval", "--policy", "seq:1231231", "-m", "7", "-n", "3", "--criterion", "em-u")
+        assert out.strip() == "10.7595"
+
     def test_requires_sizes_or_profile(self):
         run_cli("eval", "--policy", "all", expect_code=2)
 
@@ -303,6 +311,10 @@ class TestOptimalSeq:
     def test_expected_min(self):
         out = run_cli("optimal-seq", "-m", "3", "-n", "2", "--criterion", "em-u")
         assert out.split() == ["122", "3"]
+
+    def test_expected_min_at_table_five_largest_cell(self):
+        out = run_cli("optimal-seq", "-m", "8", "-n", "2", "--criterion", "em-u")
+        assert out.split() == ["12122121", "21.7382"]
 
     def test_refusal_names_the_fixed_cap(self):
         # The uuu/euu search caps n**m at a constant that --budget does not

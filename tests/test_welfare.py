@@ -1,7 +1,10 @@
+import csv
+import io
 import itertools
 import math
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,8 @@ from allocsim.parallel import (
 from allocsim.sequential import (
     Aggregator,
     SequentialPolicy,
+    _best_sequence,
+    _expected_utilities,
     canonical_turn_sequences,
     optimal_sequential,
 )
@@ -117,9 +122,9 @@ class TestSocialWelfare:
         assert value == 4
 
     def test_budget_refusal(self, borda):
-        # The worst profile (y = e) has no closed form, so it still enumerates.
+        # ``loser`` has no closed form and no joint law, so it still enumerates.
         with pytest.raises(BudgetExceededError):
-            evaluate_criterion(parse_criterion("ueu"), AllReporting(), borda, 9, 3)
+            evaluate_criterion(parse_criterion("ueu"), LoserReporting(), borda, 9, 3)
 
 
 class TestPerProfileWelfare:
@@ -415,37 +420,42 @@ class TestTables:
         assert pi.turns == (1, 2)
         assert value == Fraction(3, 2)
 
-    @pytest.mark.parametrize("chunk_items", [1, 5, 1024])
     @pytest.mark.parametrize(
         "m, n, g",
         [(1, 1, ScoringSpec.borda()), (4, 1, ScoringSpec.lexicographic()), (5, 2, ScoringSpec.borda()),
          (4, 2, custom_row(4)), (3, 3, ScoringSpec.lexicographic()), (4, 3, custom_row(4)),
          (3, 4, ScoringSpec.borda())],
     )
-    def test_expected_min_search_equals_each_candidates_pass(self, monkeypatch, chunk_items, m, n, g):
-        # The oracle is every candidate's own profile pass.  The stream is
-        # cut into chunks of one agent-2 ranking, of a few, and not at all.
-        monkeypatch.setattr(welfare, "SEARCH_CHUNK_ITEMS", chunk_items)
-        candidates = list(canonical_turn_sequences(m, n))
-        passes = [expected_min_welfare("u", FromSequential(SequentialPolicy(turns)), g, m, n) for turns in candidates]
-        stream = enumerate_profiles(m, n)
-        sums = [0] * len(candidates)
-        for chunk in stream.partition(-(-stream.count // chunk_items)):
-            welfare._add_min_sums(chunk, g.integer_row(m)[0], candidates, sums)
-        scale = stream.count * g.integer_row(m)[1]
-        assert [Fraction(s, scale) for s in sums] == passes
-        best = max(passes)
+    def test_expected_min_search_equals_each_candidates_pass(self, monkeypatch, m, n, g):
+        # The oracle is every candidate's own profile pass.  The search's
+        # integer for each candidate, over the stream's count and the score
+        # row's denominator, is that pass's expected minimum.
+        scored = {}
+
+        def recording(candidates, value_of):
+            return _best_sequence(candidates, lambda turns: scored.setdefault(turns, value_of(turns)))
+
+        monkeypatch.setattr(welfare, "_best_sequence", recording)
         pi, value = optimal_sequential_expected_min(m, n, g)
+        candidates = list(canonical_turn_sequences(m, n))
+        passes = [
+            profile_aggregates(FromSequential(SequentialPolicy(turns)), g, m, n).expected_min("u")
+            for turns in candidates
+        ]
+        scale = enumerate_profiles(m, n).count * g.integer_row(m)[1]
+        assert list(scored) == candidates
+        assert [Fraction(scored[turns], scale) for turns in candidates] == passes
+        best = max(passes)
         assert (pi.turns, value) == (candidates[passes.index(best)], best)
 
-    def test_table_five_cell_starts_one_pool(self, pools):
-        # The search over 16 candidates runs in-process; only the
-        # all-reporting column's pass is spread over workers.
-        serial = reproduce_table(5, cells=[(5, 2)], jobs=1)
+    def test_table_five_starts_no_pool(self, pools):
+        # The search and the all-reporting column both run on the joint law
+        # of a run, in-process, whatever the worker count.
+        serial = reproduce_table(5, jobs=1)
+        pooled = reproduce_table(5, jobs=2)
         assert pools == []
-        pooled = reproduce_table(5, cells=[(5, 2)], jobs=2)
-        assert pools == [2]
         assert pooled == serial
+        assert [row.status for row in serial] == ["ok"] * 7
 
 
 class TestEvaluateCriterion:
@@ -533,14 +543,14 @@ class TestPolicyKernelPass:
 
 
 class TestRoutes:
-    """Profile averages (y = u) of ``all`` and of every canonical turn
-    sequence come from closed forms, never a profile pass; each equals the
-    fold of the pass."""
+    """Every profile-space value of ``all`` and of every canonical turn
+    sequence comes from a closed form (y = u) or the joint law of a run
+    (y = e, em-*), never a profile pass; each equals the fold of the pass."""
 
     @pytest.mark.parametrize("kind", ["borda", "lex", "custom"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-    def test_closed_forms_equal_the_pass(self, m, n, kind, monkeypatch):
+    def test_closed_forms_and_law_equal_the_pass(self, m, n, kind, monkeypatch):
         g = custom_row(m) if kind == "custom" else ScoringSpec(kind)
         policies = [AllReporting()] + [
             FromSequential(SequentialPolicy(turns)) for turns in canonical_turn_sequences(m, n)
@@ -555,9 +565,156 @@ class TestRoutes:
         monkeypatch.setattr(welfare, "profile_aggregates", counted)
         for policy, stats in zip(policies, oracles):
             for z in ("u", "e"):
-                expected = stats.expected(z)
-                assert evaluate_criterion(parse_criterion(f"uu{z}"), policy, g, m, n) == sum(expected)
-                assert evaluate_criterion(parse_criterion(f"eu{z}"), policy, g, m, n) == min(expected)
-                for agent in range(1, n + 1):
-                    assert agent_value(agent, "u", z, policy, g, m, n) == expected[agent - 1]
+                for y, values in (("u", stats.expected(z)), ("e", stats.minimum(z))):
+                    assert evaluate_criterion(parse_criterion(f"u{y}{z}"), policy, g, m, n) == sum(values)
+                    assert evaluate_criterion(parse_criterion(f"e{y}{z}"), policy, g, m, n) == min(values)
+                    for agent in range(1, n + 1):
+                        assert agent_value(agent, y, z, policy, g, m, n) == values[agent - 1]
+                assert evaluate_criterion(parse_criterion(f"em-{z}"), policy, g, m, n) == stats.expected_min(z)
         assert passes == []
+
+
+@pytest.fixture
+def laws(monkeypatch):
+    """Every joint law a call builds, to read its count of transitions."""
+    built = []
+
+    class Recorded(welfare._RunLaw):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(welfare, "_RunLaw", Recorded)
+    return built
+
+
+def rational_rows(m):
+    """Strictly positive, non-increasing rational score rows for m objects."""
+    score = st.fractions(min_value=Fraction(1, 50), max_value=100, max_denominator=60)
+    values = st.lists(score, min_size=m, max_size=m)
+    return values.map(lambda v: ScoringSpec.custom(sorted(v, reverse=True)))
+
+
+# Table 1-4 cells whose all-reporting column the joint law is held to: every
+# cell with n = 2, and those with n = 3 and m <= 7 or n = 4 and m <= 6.
+LAW_TABLE_CELLS = [(m, 2) for m in range(4, 11)] + [(m, 3) for m in range(4, 8)] + [(m, 4) for m in range(4, 7)]
+DATA = Path(__file__).resolve().parent / "data"
+
+
+class TestJointLaw:
+    """The joint law of a run, held to the profile pass, to both closed
+    forms and to its own budget."""
+
+    @settings(max_examples=60)
+    @given(cell=st.sampled_from([(m, n) for m in range(1, 6) for n in range(1, 4)]), data=st.data())
+    def test_record_equals_the_pass(self, cell, data):
+        m, n = cell
+        g = data.draw(st.sampled_from([ScoringSpec.borda(), ScoringSpec.lexicographic()]) | rational_rows(m))
+        if data.draw(st.booleans(), label="all"):
+            policy = AllReporting()
+        else:
+            policy = FromSequential(SequentialPolicy(data.draw(st.sampled_from(list(canonical_turn_sequences(m, n))))))
+        oracle = profile_aggregates(policy, g, m, n)
+        for z in ("u", "e"):
+            law = welfare.joint_law_aggregates(policy, g, m, n, z)
+            assert (law.scale, law.total_weight) == (oracle.scale, oracle.total_weight)
+            for statistic in ("sums", "minima", "min_sums"):
+                assert getattr(law, statistic)[z] == getattr(oracle, statistic)[z]
+            first = welfare.joint_law_aggregates(policy, g, m, n, z, joint=False)
+            assert (first.sums[z], first.minima[z]) == (oracle.sums[z], oracle.minima[z])
+        if isinstance(policy, FromSequential):
+            assert law == oracle  # one run fills both axes
+
+    def test_rejects_other_policies(self, borda):
+        with pytest.raises(ValueError):
+            welfare.joint_law_aggregates(LoserReporting(), borda, 3, 2, "u")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda budget: evaluate_criterion(parse_criterion("eeu"), AllReporting(), ScoringSpec.borda(), 6, 3,
+                                              budget_units=budget),
+            lambda budget: evaluate_criterion(parse_criterion("em-e"), AllReporting(), ScoringSpec.lexicographic(),
+                                              5, 3, budget_units=budget),
+            lambda budget: evaluate_criterion(parse_criterion("em-u"), FromSequential(SequentialPolicy((1, 2, 3) * 2)),
+                                              custom_row(6), 6, 3, budget_units=budget),
+            lambda budget: optimal_sequential_expected_min(6, 2, ScoringSpec.borda(), budget_units=budget),
+        ],
+        ids=["all-eeu", "all-em-e", "seq-em-u", "search"],
+    )
+    def test_budget_is_the_work_count(self, laws, call):
+        # One unit per agent entry written: n per transition.
+        value = call(10**9)
+        (law,) = laws
+        count = law.transitions * law.n
+        assert call(count) == value
+        with pytest.raises(BudgetExceededError) as refused:
+            call(count - 1)
+        assert (refused.value.estimated, refused.value.budget) == (count, count - 1)
+
+    def test_search_takes_each_prefix_once(self, monkeypatch, borda):
+        # Candidates come in lexicographic order and the laws along the
+        # current one are kept, so the search takes one turn per distinct
+        # prefix of the candidates: one per node of their prefix tree.
+        taken = []
+        turn = welfare._RunLaw.turn
+
+        def counted(self, law, agent):
+            taken.append(agent)
+            return turn(self, law, agent)
+
+        monkeypatch.setattr(welfare._RunLaw, "turn", counted)
+        optimal_sequential_expected_min(6, 3, borda)
+        prefixes = {turns[:k] for turns in canonical_turn_sequences(6, 3) for k in range(1, 7)}
+        assert len(taken) == len(prefixes)
+
+    @pytest.mark.parametrize("kind", ["borda", "lex"])
+    @pytest.mark.parametrize("m,n", LAW_TABLE_CELLS)
+    def test_all_reporting_means_equal_the_closed_form(self, kind, m, n):
+        g = ScoringSpec(kind)
+        expected, guaranteed = symmetric_aggregates(AllReporting(), g, m, n)
+        for z, want in (("u", expected), ("e", guaranteed)):
+            assert welfare.joint_law_aggregates(AllReporting(), g, m, n, z, joint=False).expected(z) == (want,) * n
+
+    @pytest.mark.parametrize("table_id", [1, 2, 3, 4])
+    def test_printed_pi_star_means_equal_the_positions_dp(self, table_id):
+        g = ScoringSpec.borda() if table_id in (1, 3) else ScoringSpec.lexicographic()
+        checked = 0
+        for row in csv.DictReader(io.StringIO((DATA / f"table{table_id}.csv").read_text())):
+            if not row["pi_star"]:
+                continue
+            m, n = int(row["m"]), int(row["n"])
+            policy = SequentialPolicy.from_literal(row["pi_star"])
+            int_row, denom = g.integer_row(m)
+            want = tuple(Fraction(v, math.factorial(m) * denom) for v in _expected_utilities(policy.turns, n, int_row))
+            assert welfare.joint_law_aggregates(FromSequential(policy), g, m, n, "u").expected("u") == want
+            checked += 1
+        assert checked == 15
+
+
+class TestPoolChunks:
+    """A pooled pass over one profile per agent orbit is cut into chunks of
+    about equal numbers of walked profiles."""
+
+    @pytest.mark.parametrize("m,n", [(6, 3), (5, 4)])
+    def test_chunks_hold_equal_shares(self, m, n):
+        stream = enumerate_profiles(m, n)
+        items = welfare._orbit_items(m, n)
+        sizes = [sum(1 for _ in welfare._sorted_others(chunk)) for chunk in stream.partition(8, items)]
+        assert len(sizes) == 8
+        assert max(sizes) <= sum(sizes) / 8 + items(0)  # the first ranking leads the most profiles
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (4, 3), (3, 4), (2, 5)])
+    def test_orbit_items_count_the_walk(self, m, n):
+        stream = enumerate_profiles(m, n)
+        items = welfare._orbit_items(m, n)
+        for chunk in stream.partition(math.factorial(m)):
+            assert sum(1 for _ in welfare._sorted_others(chunk)) == items(chunk.lo)
+
+    @pytest.mark.parametrize("policy", [AllReporting(), LoserReporting()], ids=["all", "loser"])
+    @pytest.mark.parametrize("m,n", [(4, 3), (3, 4), (2, 5)])
+    def test_merged_chunks_equal_the_whole(self, policy, m, n, borda):
+        stream = enumerate_profiles(m, n)
+        chunks = stream.partition(8, welfare._orbit_items(m, n))
+        merged = welfare.ProfileAggregates.merge([welfare._compute_chunk((c, policy, borda)) for c in chunks])
+        assert merged == welfare._compute_chunk((stream, policy, borda))
