@@ -30,7 +30,6 @@ from .model import (
     ScoringSpec,
     enumerate_profiles,
     identity_ranking,
-    is_convex,
     parse_profile_text,
     parse_scoring_text,
 )
@@ -50,7 +49,6 @@ from .parallel import (
     STOP,
     build_structure,
     enumerate_outcomes,
-    next_reporters,
     parse_policy,
 )
 from .welfare import (

@@ -28,7 +28,6 @@ __all__ = [
     "Profile",
     "ScoringSpec",
     "ProfileStream",
-    "is_convex",
     "enumerate_profiles",
     "identity_ranking",
     "parse_profile_text",
@@ -188,13 +187,6 @@ class ScoringSpec:
         if self.kind == "custom":
             return "custom(" + " ".join(str(v) for v in self.table) + ")"
         return self.kind
-
-
-def is_convex(g: ScoringSpec, m: int) -> bool:
-    """Whether consecutive score differences are non-increasing in rank."""
-    row = g.score_row(m)
-    diffs = [row[k] - row[k + 1] for k in range(1, m)]
-    return all(a >= b for a, b in zip(diffs, diffs[1:]))
 
 
 # ---------------------------------------------------------------------------

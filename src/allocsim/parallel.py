@@ -49,7 +49,6 @@ __all__ = [
     "FromSequential",
     "CustomPolicy",
     "parse_policy",
-    "next_reporters",
     "DemandSituation",
     "STOP",
     "AllocationStructure",
@@ -176,16 +175,6 @@ class CustomPolicy(ParallelPolicy):
 
     def advance(self, state, reporters, losers):
         return state + ((reporters, losers),)
-
-
-def next_reporters(
-    policy: ParallelPolicy, prefix: Sequence[tuple[frozenset[int], frozenset[int]]], n: int
-) -> frozenset[int]:
-    """Reporter set designated by ``policy`` after the given stage history."""
-    state = policy.initial_state()
-    for reporters, losers in prefix:
-        state = policy.advance(state, frozenset(reporters), frozenset(losers))
-    return policy.reporters(state, n)
 
 
 def parse_policy(literal: str) -> ParallelPolicy:

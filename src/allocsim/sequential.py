@@ -4,17 +4,16 @@ the exhaustive optimal-sequence search.
 A turn sequence is played and averaged over profiles as a parallel policy
 with one reporter per stage (``FromSequential`` in :mod:`allocsim.parallel`,
 served by :mod:`allocsim.welfare`).  What stays here has no parallel
-counterpart.  Expected utilities come from a per-rank dynamic
-program over the steps at which an agent picks: from one agent's point of
-view every pick by another agent removes a uniformly random remaining object,
-while its own picks remove its best remaining one.  This makes the
-expectation a function of the set of steps at which the agent picks, and is
-what makes exhaustive policy search affordable.  The DP counts in integers at
+counterpart, save the law of one agent's run, which serves every per-agent
+profile average and worst case of a turn sequence and of all-reporting:
+from one agent's point of view every other agent demands a uniformly random
+remaining object, while the agent demands its best remaining one.  Under a
+sequence the law is a function of the steps at which the agent picks, which
+makes exhaustive policy search affordable.  The law counts in integers at
 the scale ``m! * denom`` of :meth:`ScoringSpec.integer_row`; a search folds
 and compares its candidates at that scale and divides once, for the winner.
-The test suite pins the DP to its ``Fraction`` form and, exactly, to an
-independent per-profile pass over the same profile stream
-(``profile_aggregates`` of the turn sequence as a parallel policy).
+The test suite pins the law to a ``Fraction`` DP and, exactly, to a
+per-profile pass over the same profile stream (``profile_aggregates``).
 
 A turn sequence fits m objects and n agents when it has m turns and names no
 agent above n.  Every route that plays a given sequence refuses a misfit
@@ -103,56 +102,133 @@ class SequentialPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Expected utilities
+# Expected utilities: the law of one agent's run.  The agent draws its ranking
+# lazily, from the top: to demand its best remaining object it reveals its
+# next positions, each a uniform pick among the objects it has not revealed.
+# Every revealed object is gone (demanded, or gone when revealed), so the r
+# remaining objects lie among its m - p unrevealed ones, and by deferred
+# decisions its demand is uniform over them: at position q = p + j + 1, in
+# r * T!/(T - j)! ways, when it first reveals j of its T = m - p - r
+# unrevealed gone objects.  Every other agent's demand is uniform over the r
+# remaining objects too.  Only how many objects remain matters, so a state
+# is (r, p).
+
+
+def _surjections(a: int, b: int) -> int:
+    """Ways to map a items onto b boxes leaving no box empty."""
+    return sum((-1) ** i * math.comb(b, i) * (b - i) ** a for i in range(b + 1))
+
+
+def _share(c: int, scale: int, z: str) -> int:
+    """``scale`` (divisible by 1..c) times an agent's share of an object that
+    c agents demand at once: 1/c in expectation over the lottery (z = "u"),
+    and all of it only when it demands the object alone (z = "e")."""
+    return scale // c if z == "u" else scale * (c == 1)
+
+
+@lru_cache(maxsize=None)
+def _stage_law(r: int, others: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """The stage at which the agent and ``others`` other agents each demand
+    one of ``r`` remaining objects: for each number k of distinct objects
+    demanded, ``(k, ways, u, e, least_u, least_e)``, the ways out of
+    ``r ** others``, and the agent's :func:`_share` at the scale
+    ``lcm(1..others + 1)`` on each lottery axis, summed over those ways and
+    the least of them."""
+    scale = math.lcm(*range(1, others + 2))
+    law = []
+    for k in range(1, min(r, others + 1) + 1):
+        # c agents on the agent's object, the rest on k - 1 other objects
+        ways = {
+            c: w
+            for c in range(1, others + 2)
+            if (w := math.comb(others, c - 1) * math.comb(r - 1, k - 1) * _surjections(others + 1 - c, k - 1))
+        }
+        law.append((
+            k,
+            sum(ways.values()),
+            *(sum(w * _share(c, scale, z) for c, w in ways.items()) for z in "ue"),
+            *(min(_share(c, scale, z) for c in ways) for z in "ue"),
+        ))
+    return tuple(law)
+
+
+@lru_cache(maxsize=None)
+def _reveals(m: int) -> tuple[tuple[int, ...], ...]:
+    """``[t][j]``: the ways to reveal first j of t unrevealed gone objects."""
+    return tuple(tuple(math.perm(t, j) for j in range(t + 1)) for t in range(m))
 
 
 @lru_cache(maxsize=8192)  # shared by every search of a process; tables 1-4 fill about 4,000
-def _expected_score_for_positions(m: int, int_row: tuple[int, ...], picks: frozenset[int]) -> int:
-    """``m!`` times the expected total score, on the integer row ``int_row``,
-    of an agent picking at the given steps.
+def _agent_law(
+    m: int, int_row: tuple[int, ...], others: int, picks: frozenset[int] | None
+) -> tuple[int, int, int, int, int]:
+    """``(weight, sum_u, sum_e, low_u, low_e)`` of one agent's runs on
+    ``int_row``: their weight, the weighted sums of its expected (u) and
+    guaranteed (e) totals, times ``lcm(1..others + 1)``, and the least of
+    each, at the scale of a profile pass over the rankings that its run
+    draws.
 
-    Marginalizing over everyone else's uniform, independent rankings, each
-    foreign pick removes a uniformly random remaining object of this agent's
-    ranking, while her own picks remove the best remaining one.  For each rank
-    position p, the DP state is the number of removed positions above p, and
-    its weight counts the ways to reach it: a step with r objects left
-    multiplies a weight by how many of its r choices lead on (r for an own
-    pick), so weights before it sum to ``m!/r!``; an own pick of p banks
-    ``int_row[p] * weight * r!``.  Weight where p was removed is dropped.
-    """
-    total = 0
-    for p in range(1, m + 1):
-        states = {0: 1}
-        for k in range(1, m + 1):
-            r = m - k + 1
-            new: dict[int, int] = {}
-            if k in picks:
-                for above, w in states.items():
-                    if above == p - 1:
-                        total += int_row[p] * w * math.factorial(r)
+    Under all-reporting (``picks`` is None) ``others`` other agents demand at
+    each stage: weights start at ``(m!) ** others`` and each stage divides
+    them by ``r ** others``, exactly, since the r of a run are distinct
+    members of 1..m.  Under a turn sequence (``others`` is 0) the agent
+    demands at the steps in ``picks``, and each other step removes one of
+    the r objects without changing a weight.  The outcomes of a stage with
+    the same k lead to one state (r - k, q); entries meeting in a state add
+    weights and sums and keep the least totals.  A run's rest of m - p
+    unrevealed positions orders in ``(m - p)!`` ways."""
+    reveals = _reveals(m)
+    layers: dict[int, dict[int, list[int]]] = {m: {0: [math.factorial(m) ** others, 0, 0, 0, 0]}}
+    for r in range(m, 0, -1):
+        layer = layers.pop(r)
+        if picks is not None and m - r + 1 not in picks:
+            layers[r - 1] = layer
+            continue
+        divisor = r**others
+        stage = [(layers.setdefault(r - k, {}), *law) for k, *law in _stage_law(r, others)]
+        for p, (weight, sum_u, sum_e, low_u, low_e) in layer.items():
+            for q, ways in enumerate(reveals[m - p - r], start=p + 1):
+                ways *= r  # its demand is any of the r remaining objects
+                score = int_row[q]
+                paid = weight * ways * score
+                for after, times, u, e, least_u, least_e in stage:
+                    times *= ways
+                    w = weight * times // divisor
+                    su = (sum_u * times + paid * u) // divisor
+                    se = (sum_e * times + paid * e) // divisor
+                    lu = low_u + least_u * score
+                    le = low_e + least_e * score
+                    entry = after.get(q)
+                    if entry is None:
+                        after[q] = [w, su, se, lu, le]
                     else:
-                        new[above + 1] = new.get(above + 1, 0) + w * r
-            else:
-                for above, w in states.items():
-                    low = (p - 1) - above
-                    if low:
-                        new[above + 1] = new.get(above + 1, 0) + w * low
-                    survive = r - low - 1
-                    if survive:
-                        new[above] = new.get(above, 0) + w * survive
-            states = new
-            if not states:
-                break
-    return total
+                        entry[0] += w
+                        entry[1] += su
+                        entry[2] += se
+                        if lu < entry[3]:
+                            entry[3] = lu
+                        if le < entry[4]:
+                            entry[4] = le
+    ended = [(math.factorial(m - p), entry) for p, entry in layers[0].items()]
+    sums = (sum(rest * entry[i] for rest, entry in ended) for i in range(3))
+    return (*sums, *(min(entry[i] for _, entry in ended) for i in (3, 4)))
 
 
-def _expected_utilities(turns: Sequence[int], n: int, int_row: tuple[int, ...]) -> tuple[int, ...]:
-    """``m!`` times every agent's expected utility on ``int_row``, under a
-    turn sequence whose fit the caller has checked."""
+def _law_transitions(m: int, n: int) -> int:
+    """The transitions of :func:`_agent_law` under all-reporting with n
+    agents, one per reveal and k at each state (r, p) it expands: those with
+    ``ceil((m - r) / n) <= p <= m - r``, since p stages remove 1 to n objects
+    each and every revealed position is a gone object."""
+    return sum((m - p - r + 1) * min(n, r) for r in range(1, m + 1) for p in range(-(-(m - r) // n), m - r + 1))
+
+
+def _agent_laws(turns: Sequence[int], n: int, int_row: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every agent's :func:`_agent_law` under a turn sequence whose fit the
+    caller has checked: weights at the scale ``m!``, totals on ``int_row``."""
     picks: list[set[int]] = [set() for _ in range(n)]
     for step, t in enumerate(turns, start=1):
         picks[t - 1].add(step)
-    return tuple(_expected_score_for_positions(len(turns), int_row, frozenset(p)) for p in picks)
+    return tuple(_agent_law(len(turns), int_row, 0, frozenset(p)) for p in picks)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +302,6 @@ def optimal_sequential(
     int_row, denom = g.integer_row(m)
     pi, best = _best_sequence(
         canonical_turn_sequences(m, n),
-        lambda turns: aggregator.apply(_expected_utilities(turns, n, int_row)),
+        lambda turns: aggregator.apply(law[1] for law in _agent_laws(turns, n, int_row)),
     )
     return pi, Fraction(best, math.factorial(m) * denom)

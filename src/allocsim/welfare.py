@@ -9,37 +9,37 @@ the per-profile minimum across agents: ``E_R[min_i u_i(z, R)]``.
 Everything here is exact.  Each value's route is chosen from its input
 (policy and criterion), whichever caller asks:
 
-* ``all`` averaged over profiles (y = u) comes from a closed-form DP over the
-  remaining ranks (:func:`symmetric_aggregates`), without enumerating
-  profiles;
-* a turn sequence averaged over profiles (y = u) comes from the integer
-  positions DP of :mod:`allocsim.sequential`, divided once per agent; z does
-  not matter there, since a sequence has one run;
-* every other value of ``all`` or of a turn sequence (y = e, ``em-u``,
-  ``em-e``) comes from one integer DP over the joint law of a run
-  (:func:`joint_law_aggregates`), in which every agent draws her ranking
-  lazily from the top, without enumerating profiles;
+* every per-agent value of ``all`` or of a turn sequence (y = u or y = e,
+  either z) comes from the integer law of one agent's run
+  (``_agent_law`` of :mod:`allocsim.sequential`; :func:`symmetric_aggregates`
+  for ``all``), in which the agent draws its ranking lazily from the top,
+  without enumerating profiles;
+* ``em-u`` and ``em-e`` of ``all`` or of a turn sequence come from one
+  integer DP over the joint law of a run (:func:`joint_law_aggregates`), in
+  which every agent draws her ranking lazily from the top, without
+  enumerating profiles;
 * every value of ``loser`` and custom policies is one pass over a profile
   stream (:func:`profile_aggregates`) with the memoized integer kernel
   ``policy_values_scaled`` of :mod:`allocsim.parallel`; a single profile
   (:func:`profile_utilities`) is a stream of one item, through
   ``all_reporting_values_scaled`` for ``all`` and
   ``sequential_values_scaled`` for a turn sequence.  The pass takes ``all``
-  and turn sequences too, as the oracle the tests hold the closed forms and
-  the joint law to.  A profile-space pass streams one representative per
-  object relabeling, and for ``all`` and ``loser``, which treat agents
-  alike, evaluates one per relabeling of agents 2..n.
+  and turn sequences too, as the oracle the tests hold both laws to.  A
+  profile-space pass streams one representative per object relabeling, and
+  for ``all`` and ``loser``, which treat agents alike, evaluates one per
+  relabeling of agents 2..n.
 
 A pass yields one :class:`ProfileAggregates` record: for each lottery axis,
 every agent's weighted utility sum and minimum over profiles and the weighted
 sum of the per-profile minimum, all integers over one scale, divided only
 when a criterion reads them.  A turn sequence has one run, so its pass
 totals one axis and reports it for both.  The joint law yields the same
-integers, for the lottery axis asked.  Chunks' records merge by summing in
-order.  With ``jobs > 1`` a large enough pass is chunked across one worker
-pool that lives as long as that pass, its chunks holding about equal
-numbers of profiles; the chunk reduction is order-fixed and exact, so
-results are bit-identical for any worker count.  The expected-min search
+integers, for the lottery axis asked, and the agent law the same sums and
+minima, for both axes.  Chunks' records merge by summing in order.  With
+``jobs > 1`` a large enough pass is chunked across one worker pool that
+lives as long as that pass, its chunks holding about equal numbers of
+profiles; the chunk reduction is order-fixed and exact, so results are
+bit-identical for any worker count.  The expected-min search
 over turn sequences scores every candidate on the joint law of its run,
 replaying only the turns after the prefix it shares with the candidate
 before; it runs in-process and starts no pool.
@@ -72,8 +72,12 @@ from .parallel import (
 from .sequential import (
     Aggregator,
     SequentialPolicy,
+    _agent_law,
+    _agent_laws,
     _best_sequence,
-    _expected_utilities,
+    _law_transitions,
+    _reveals,
+    _share,
     canonical_turn_sequences,
     optimal_sequential,
 )
@@ -380,46 +384,9 @@ def profile_aggregates(
 
 
 # ---------------------------------------------------------------------------
-# Closed form for the all-reporting policy.  Under all-reporting every
-# demanded object leaves play whoever wins it, so the remaining set evolves
-# without regard to lottery outcomes.  Fix agent 1's ranking to the identity:
-# she demands the best remaining rank p, and by the principle of deferred
-# decisions each other agent's demand is uniform over the r remaining objects,
-# independently across agents and of the past.  With k others on p, agent 1
-# banks g(p)/(k+1) in expectation and g(p) for sure when k = 0; the next state
-# keeps a uniform subset of the other remaining objects, of a size set by how
-# many distinct ones the others hit.  By linearity only the two marginal laws
-# are needed.  By agent symmetry the result is every agent's value.
-
-
-def _hit_law(r: int, others: int) -> list[int]:
-    """Ways, out of ``r ** others``, for ``others`` agents each demanding one
-    of ``r`` objects to hit exactly ``s`` distinct objects besides a fixed
-    one, indexed by ``s``."""
-    ways = [1]
-    for _ in range(others):
-        nxt = [0] * (len(ways) + 1)
-        for s, w in enumerate(ways):
-            nxt[s] += w * (s + 1)  # the fixed object or one already hit
-            nxt[s + 1] += w * (r - 1 - s)  # a new object
-        ways = nxt
-    return ways
-
-
-def _dp_transitions(m: int, n: int) -> int:
-    """Number of (state, next state) transitions the closed form visits.
-
-    A state keeps ``r`` ranks, the best of them ``a + 1``; it is reachable
-    exactly when its ``m - r`` removed ranks fit into ``a`` stages of at most
-    ``n`` demands.  Each such state moves to every subset of its other
-    ``r - 1`` ranks that drops at most ``n - 1`` of them.
-    """
-    return sum(
-        math.comb(m - a - 1, r - 1) * sum(math.comb(r - 1, s) for s in range(min(n - 1, r - 1) + 1))
-        for a in range(m)
-        for r in range(1, m - a + 1)
-        if m - r <= a * n
-    )
+# Per-agent records of all-reporting and turn sequences, read off the law of
+# one agent's run (:func:`allocsim.sequential._agent_law`).  Under
+# all-reporting, by agent symmetry, one agent's law is every agent's.
 
 
 def symmetric_aggregates(
@@ -428,70 +395,57 @@ def symmetric_aggregates(
     m: int,
     n: int,
     budget_units: int | None = None,
-) -> tuple[Fraction, Fraction]:
-    """Any one agent's expected and guaranteed utility under all-reporting,
-    each averaged over all profiles, exactly.  One work unit is one
-    transition of the closed form.
+) -> ProfileAggregates:
+    """The record of the profile pass of all-reporting, for both lottery
+    axes, without its per-profile minimum (``min_sums`` is empty): any one
+    agent's sums and minima, reported for every agent, from the law of its
+    run.  One work unit is one transition of the law.
 
     ``bench/tracer.py`` wraps this function by its name and reads its
     ``policy``, ``m``, ``n`` and ``budget_units`` arguments.
     """
     if not isinstance(policy, AllReporting):
-        raise ValueError("the closed form only applies to the all-reporting policy")
+        raise ValueError("the agent law's all-reporting entry only applies to the all-reporting policy")
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
-    _within_budget(_dp_transitions(m, n), budget_units, "closed form needs")
-    row = g.score_row(m)
-    # laws[r]: expected share of the demanded object, chance of demanding it
-    # alone, and (size, chance) of each kept subset of the other r - 1 objects
-    laws: dict[int, tuple[Fraction, Fraction, list[tuple[int, Fraction]]]] = {}
-    for r in range(1, m + 1):
-        total = r ** (n - 1)
-        moves = [
-            (r - 1 - s, Fraction(w, total * math.comb(r - 1, s)))
-            for s, w in enumerate(_hit_law(r, n - 1))
-            if w
-        ]
-        laws[r] = (Fraction(r**n - (r - 1) ** n, n * total), Fraction((r - 1) ** (n - 1), total), moves)
-    memo = {(): (Fraction(0), Fraction(0))}
+    _within_budget(_law_transitions(m, n), budget_units, "the agent law needs")
+    int_row, denom = g.integer_row(m)
+    return _agents_record((_agent_law(m, int_row, n - 1, None),) * n, math.lcm(*range(1, n + 1)) * denom, 1)
 
-    def value(remaining: tuple[int, ...]) -> tuple[Fraction, Fraction]:
-        cached = memo.get(remaining)
-        if cached is None:
-            share, alone, moves = laws[len(remaining)]
-            top, rest = row[remaining[0]], remaining[1:]
-            expected, guaranteed = top * share, top * alone
-            for size, chance in moves:
-                sum_e = sum_g = Fraction(0)
-                for kept in itertools.combinations(rest, size):
-                    e, gu = value(kept)
-                    sum_e += e
-                    sum_g += gu
-                expected += chance * sum_e
-                guaranteed += chance * sum_g
-            cached = memo[remaining] = (expected, guaranteed)
-        return cached
 
-    return value(tuple(range(1, m + 1)))
+def _sequence_record(policy: FromSequential, g: ScoringSpec, m: int, n: int) -> ProfileAggregates:
+    """The record of the profile pass of a turn sequence without its
+    per-profile minimum (``min_sums`` is empty): every agent's sums and
+    minima, from the law of its run, whose weights the other agents'
+    rankings multiply by ``(m!) ** (n - 1)``."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must both be at least 1")
+    policy.check_fit(m, n)
+    int_row, denom = g.integer_row(m)
+    return _agents_record(_agent_laws(policy.policy.turns, n, int_row), denom, math.factorial(m) ** (n - 1))
+
+
+def _agents_record(laws: Sequence[tuple[int, ...]], scale: int, others: int) -> ProfileAggregates:
+    """The record of every agent's :func:`~allocsim.sequential._agent_law`,
+    with its weights and sums times ``others``."""
+    return ProfileAggregates(
+        scale,
+        laws[0][0] * others,
+        {"u": tuple(law[1] * others for law in laws), "e": tuple(law[2] * others for law in laws)},
+        {"u": tuple(law[3] for law in laws), "e": tuple(law[4] for law in laws)},
+        {},
+    )
 
 
 # ---------------------------------------------------------------------------
-# Joint law of a run, for all-reporting and turn sequences.  Let every agent
-# draw her ranking lazily, from the top: an agent who needs her best
-# remaining object reveals her next positions, each a uniform pick among the
-# objects she has not revealed yet.  Under both protocols every object an
-# agent has revealed is gone: she demanded it, and a demanded object leaves
-# play at its stage, or it was gone when she revealed it.  So the r
-# remaining objects lie among her m - p unrevealed ones, and by deferred
-# decisions her next demand is uniform over them, independently of the
-# other agents' draws and of how far she reveals: position p + j + 1, in
-# T!/(T - j)! ways, when she first reveals j of her T = m - p - r
-# unrevealed gone objects.  Which objects remain then never matters, only
-# how many: a state is r with each agent's (position, total), and its
-# weight counts the ways to reach it.  When no object is left, each agent's
-# unrevealed rest still orders in (m - p)! ways, so the finished weights
-# sum to (m!)**n, the total weight of a profile pass, and every statistic of
-# the run's totals comes out as that pass's integers.
+# Joint law of a run, for all-reporting and turn sequences.  Every agent
+# draws her ranking lazily, from the top, as in the law of one agent's run
+# (:mod:`allocsim.sequential`), each independently of the others' draws: a
+# state is r with each agent's (position, total), and its weight counts the
+# ways to reach it.  When no object is left, each agent's unrevealed rest
+# still orders in (m - p)! ways, so the finished weights sum to (m!)**n, the
+# total weight of a profile pass, and every statistic of the run's totals
+# comes out as that pass's integers.
 
 
 class _RunLaw:
@@ -504,8 +458,7 @@ class _RunLaw:
 
     def __init__(self, m: int, n: int, int_row: tuple[int, ...], budget_units: int | None):
         self.m, self.n, self.int_row = m, n, int_row
-        # reveals[t][j]: ways to reveal first j of t unrevealed gone objects
-        self.reveals = [[math.perm(t, j) for j in range(t + 1)] for t in range(m + 1)]
+        self.reveals = _reveals(m)
         self.orders = [math.factorial(k) for k in range(m + 1)]
         self.budget = budget_units if budget_units is not None else resolve_budget_units()
         self.transitions = 0  # the work units are n times this
@@ -540,31 +493,25 @@ class _RunLaw:
         self._visit(visited)
         return step
 
-    def all_reporting(self, scale: int, z: str, joint: bool) -> dict:
+    def all_reporting(self, scale: int, z: str) -> dict:
         """The weight of each all-reporting run's totals, times ``scale``
-        (divisible by 1..n): a demand with c contenders banks score/c for
-        ``z = "u"``, and the full score only when c = 1 for ``z = "e"``.
-        Agents 2..n are alike, so their entries are kept sorted; without
-        ``joint`` their totals stay 0."""
+        (divisible by 1..n): a demand with c contenders banks its
+        :func:`~allocsim.sequential._share` of the score.  Agents 2..n are
+        alike, so their entries are kept sorted."""
         # bank[c][q]: what a demand at rank q banks with c contenders
-        bank = [[]] + [
-            [score * scale // c if z == "u" else score * scale * (c == 1) for score in self.int_row]
-            for c in range(1, self.n + 1)
-        ]
+        bank = [[]] + [[score * _share(c, scale, z) for score in self.int_row] for c in range(1, self.n + 1)]
         law, done = self.start(), {}
         while law:
-            law = self._stage(law, done, bank, joint)
+            law = self._stage(law, done, bank)
         return done
 
-    def _stage(self, law: dict, done: dict, bank: list[list[int]], joint: bool) -> dict:
+    def _stage(self, law: dict, done: dict, bank: list[list[int]]) -> dict:
         """The law after one all-reporting stage; the totals of runs that end
         go to ``done``.  The agents' demands are drawn in turn, agent 1's first:
         each falls on the object of a block of agents drawn before, or opens
         a block on another remaining object.  Only the blocks matter: at the
         stage's end every agent banks against the size of her block, and the
-        k blocks' objects are chosen in r!/(r - k)! ways.  Without ``joint``
-        only agent 1 banks, so the other blocks need not be told apart:
-        their agents are all labelled 1."""
+        k blocks' objects are chosen in r!/(r - k)! ways."""
         step: dict = {}
         for (r, ((p, own), *others)), weight in law.items():
             # (agent 1's (rank, total), the others' (rank, total, block) sorted,
@@ -575,16 +522,10 @@ class _RunLaw:
                 reveal = self.reveals[self.m - at - r]
                 grown: dict = {}
                 for (first, rest, blocks), ways in partial.items():
-                    if joint:
-                        choices = [(b, max(blocks, b + 1), 1) for b in range(min(blocks + 1, r))]
-                    else:
-                        choices = [(0, blocks, 1), (1, blocks, blocks - 1), (1, blocks + 1, int(blocks < r))]
-                    for b, blocks_after, times in choices:
-                        if not times:
-                            continue
+                    for b in range(min(blocks + 1, r)):
                         for q, w in enumerate(reveal, start=at + 1):
-                            key = (first, tuple(sorted(rest + ((q, total, b),))), blocks_after)
-                            grown[key] = grown.get(key, 0) + ways * w * times
+                            key = (first, tuple(sorted(rest + ((q, total, b),))), max(blocks, b + 1))
+                            grown[key] = grown.get(key, 0) + ways * w
                         visited += len(reveal)
                 if visited > self._room():
                     self._visit(visited)  # refused
@@ -593,7 +534,7 @@ class _RunLaw:
                 sizes = [1] + [0] * (blocks - 1)
                 for *_, b in rest:
                     sizes[b] += 1
-                banked = ((rank, total + bank[sizes[b]][rank] if joint else 0) for rank, total, b in rest)
+                banked = ((rank, total + bank[sizes[b]][rank]) for rank, total, b in rest)
                 entries = ((q, own + bank[sizes[0]][q]),) + tuple(sorted(banked))
                 ways *= weight * math.perm(r, blocks)
                 if r > blocks:
@@ -627,16 +568,13 @@ def joint_law_aggregates(
     n: int,
     z: str,
     budget_units: int | None = None,
-    joint: bool = True,
 ) -> ProfileAggregates:
     """The record of the profile pass of ``all`` or a turn sequence, for
     lottery axis ``z``, read off the joint law of a run instead of a walk of
     the profile stream: the same integers at the same scale.  A turn
     sequence's one run fills both axes.  Under ``all`` the record reports
-    agent 1's sums and minima for every agent, as the pass does; with
-    ``joint=False`` agents 2..n keep no totals, which leaves agent 1's
-    statistics and no per-profile minimum (``min_sums`` is empty).  The
-    work units are those of :class:`_RunLaw`."""
+    agent 1's sums and minima for every agent, as the pass does.  The work
+    units are those of :class:`_RunLaw`."""
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
     policy.check_fit(m, n)
@@ -646,17 +584,17 @@ def joint_law_aggregates(
         law = run.start()
         for agent in policy.policy.turns:
             law = run.turn(law, agent)
-        return _law_record(run.finished(law), "ue", denom, joint=True)
+        return _law_record(run.finished(law), "ue", denom)
     if not isinstance(policy, AllReporting):
         raise ValueError("the joint law only serves all-reporting and turn sequences")
     scale = math.lcm(*range(1, n + 1))
-    return _law_record(run.all_reporting(scale, z, joint), z, scale * denom, joint).agent_one_for_all()
+    return _law_record(run.all_reporting(scale, z), z, scale * denom).agent_one_for_all()
 
 
-def _law_record(ended: dict[tuple[int, ...], int], axes: str, scale: int, joint: bool) -> ProfileAggregates:
+def _law_record(ended: dict[tuple[int, ...], int], axes: str, scale: int) -> ProfileAggregates:
     """The record, for each lottery axis in ``axes``, of the weights of
-    ended runs' totals: every agent's sum and minimum, and with ``joint``
-    the sum of the per-run minimum across agents."""
+    ended runs' totals: every agent's sum and minimum, and the sum of the
+    per-run minimum across agents."""
     n = len(next(iter(ended)))
     count = min_sum = 0
     sums = [0] * n
@@ -666,14 +604,13 @@ def _law_record(ended: dict[tuple[int, ...], int], axes: str, scale: int, joint:
         for i in range(n):
             sums[i] += totals[i] * weight
             minima[i] = min(minima[i], totals[i])
-        if joint:
-            min_sum += min(totals) * weight
+        min_sum += min(totals) * weight
     return ProfileAggregates(
         scale,
         count,
         dict.fromkeys(axes, tuple(sums)),
         dict.fromkeys(axes, tuple(minima)),
-        dict.fromkeys(axes, min_sum) if joint else {},
+        dict.fromkeys(axes, min_sum),
     )
 
 
@@ -692,41 +629,16 @@ def _agent_values(
     budget_units: int | None,
 ) -> tuple[Fraction, ...]:
     """Every agent's mean (y = u) or worst case (y = e) over all profiles of
-    her expected (z = u) or guaranteed (z = e) utility, by the route the
-    input allows.  The profile averages of ``all`` and of a turn sequence
-    have closed forms, and their worst cases come from the joint law of a
-    run; every other value is read off one profile pass, the oracle the
-    tests hold the closed forms and the law to."""
-    if y == "u" and isinstance(policy, AllReporting):
-        expected, guaranteed = symmetric_aggregates(policy, g, m, n, budget_units)
-        return (expected if z == "u" else guaranteed,) * n
-    if y == "u" and isinstance(policy, FromSequential):
-        if m < 1 or n < 1:
-            raise ValueError("m and n must both be at least 1")
-        policy.check_fit(m, n)
-        int_row, denom = g.integer_row(m)
-        values = _expected_utilities(policy.policy.turns, n, int_row)
-        return tuple(Fraction(v, math.factorial(m) * denom) for v in values)
-    stats = _space_record(policy, g, m, n, z, False, jobs, budget_units)
+    her expected (z = u) or guaranteed (z = e) utility, read off the law of
+    one agent's run for ``all`` and turn sequences, and off one profile pass,
+    the oracle the tests hold the law to, for every other policy."""
+    if isinstance(policy, AllReporting):
+        stats = symmetric_aggregates(policy, g, m, n, budget_units)
+    elif isinstance(policy, FromSequential):
+        stats = _sequence_record(policy, g, m, n)
+    else:
+        stats = profile_aggregates(policy, g, m, n, jobs, budget_units)
     return stats.expected(z) if y == "u" else stats.minimum(z)
-
-
-def _space_record(
-    policy: ParallelPolicy,
-    g: ScoringSpec,
-    m: int,
-    n: int,
-    z: str,
-    joint: bool,
-    jobs: int,
-    budget_units: int | None,
-) -> ProfileAggregates:
-    """The record a profile-space value is read from: the joint law of a run
-    for ``all`` and turn sequences (``joint`` as in
-    :func:`joint_law_aggregates`), one profile pass for every other policy."""
-    if isinstance(policy, (AllReporting, FromSequential)):
-        return joint_law_aggregates(policy, g, m, n, z, budget_units, joint)
-    return profile_aggregates(policy, g, m, n, jobs, budget_units)
 
 
 def agent_value(
@@ -769,11 +681,16 @@ def evaluate_criterion(
     jobs: int = 1,
     budget_units: int | None = None,
 ) -> Fraction:
-    """A criterion's value: the expected-min reading, from the record of
-    :func:`_space_record`, or the per-agent values over profiles (y) folded
-    over agents (x)."""
+    """A criterion's value: the expected-min reading, from the joint law of
+    a run for ``all`` and turn sequences and from one profile pass for every
+    other policy, or the per-agent values over profiles (y) folded over
+    agents (x)."""
     if criterion.mode == "emin":
-        return _space_record(policy, g, m, n, criterion.z, True, jobs, budget_units).expected_min(criterion.z)
+        if isinstance(policy, (AllReporting, FromSequential)):
+            stats = joint_law_aggregates(policy, g, m, n, criterion.z, budget_units)
+        else:
+            stats = profile_aggregates(policy, g, m, n, jobs, budget_units)
+        return stats.expected_min(criterion.z)
     return Aggregator(criterion.x).apply(_agent_values(criterion.y, criterion.z, policy, g, m, n, jobs, budget_units))
 
 

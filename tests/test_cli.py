@@ -159,8 +159,8 @@ def _bad_inputs():
                      id="eval-space-seq:123-m4"),
     ]
     # A misfit sequence is refused before any budget, whichever route the
-    # criterion takes: the positions DP (uuu) or the joint law of a run
-    # (ueu, em-u).
+    # criterion takes: the law of one agent's run (uuu, ueu) or the joint
+    # law of a run (em-u).
     for criterion in ("uuu", "ueu", "em-u"):
         cases.append(pytest.param(
             ["eval", "--policy", "seq:123456789", "-m", "9", "-n", "3", "--criterion", criterion], 5,
@@ -245,7 +245,7 @@ class TestExitCodes:
         run_cli("simulate", "--policy", "all", "--profile", str(bad), expect_code=3)
 
     def test_budget_error_is_4(self):
-        # ``loser`` has no closed form and no joint law, so it still enumerates.
+        # ``loser`` has no agent law and no joint law, so it still enumerates.
         run_cli("eval", "-m", "9", "-n", "3", "--policy", "loser", "--criterion", "ueu", expect_code=4)
 
     def test_policy_violation_is_5(self, profile_file):
@@ -283,8 +283,8 @@ class TestEval:
         assert payload["exact"] == "7/2"
 
     def test_closed_form_value_matches_table_one(self):
-        # The enumeration would need 177.8M work units at (7, 3); the closed
-        # form answers, with the value table 1 prints for that cell.
+        # The enumeration would need 177.8M work units at (7, 3); the agent
+        # law answers, with the value table 1 prints for that cell.
         out = run_cli("eval", "--policy", "all", "-m", "7", "-n", "3", "--criterion", "uuu")
         assert out.strip() == "38.8638"
         table = run_cli("tables", "--id", "1", "--max-m", "7", "--max-n", "3")
@@ -293,11 +293,29 @@ class TestEval:
 
     def test_joint_law_answers_past_the_old_estimate(self):
         # A profile pass would need 88.9M work units for ``all`` and 177.8M
-        # for a turn sequence at (7, 3), over the default budget; the joint
-        # law of a run answers both.
+        # for a turn sequence at (7, 3), over the default budget; the agent
+        # law answers the first, the joint law of a run the second.
         assert run_cli("eval", "--policy", "all", "-m", "7", "-n", "3", "--criterion", "eeu").strip() == "7.8333"
         out = run_cli("eval", "--policy", "seq:1231231", "-m", "7", "-n", "3", "--criterion", "em-u")
         assert out.strip() == "10.7595"
+
+    @pytest.mark.parametrize(
+        "policy, m, n, criterion, printed",
+        [
+            ("all", "20", "4", "uuu", "322.8003"),
+            ("all", "9", "4", "eeu", "8.25"),
+            ("all", "8", "5", "uee", "0"),
+            # Agent 4 picks at steps 4, 8 and 12, at worst its 4th, 8th and
+            # 12th choices: 11 + 7 + 3 Borda points.
+            ("seq:12341234123412", "14", "4", "eeu", "21"),
+        ],
+    )
+    def test_agent_law_answers_at_the_default_budget(self, policy, m, n, criterion, printed):
+        # Each of these exceeded the default budget on the estimate of the
+        # closed form over remaining ranks (uuu) or of the joint law of a
+        # run (y = e); the law of one agent's run answers each at once.
+        out = run_cli("eval", "--policy", policy, "-m", m, "-n", n, "--criterion", criterion)
+        assert out.strip() == printed
 
     def test_requires_sizes_or_profile(self):
         run_cli("eval", "--policy", "all", expect_code=2)

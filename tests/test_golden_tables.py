@@ -2,7 +2,7 @@
 
 ``tests/data/tableN.csv`` holds the stdout of ``allocsim tables --id N
 --jobs 1`` at the default budget.  Every table runs in this one process, so
-the tables share the positions DP's cache; a cold cache and the module entry
+the tables share the agent law's cache; a cold cache and the module entry
 point are left to a fresh ``python -m allocsim.cli`` per table.
 """
 

@@ -12,7 +12,6 @@ from allocsim.model import (
     ScoringSpec,
     enumerate_profiles,
     identity_ranking,
-    is_convex,
     parse_profile_text,
     parse_scoring_text,
 )
@@ -79,19 +78,6 @@ class TestScoring:
         row = [g.score(k, m) for k in range(1, m + 1)]
         assert all(a >= b for a, b in zip(row, row[1:]))
         assert all(v > 0 for v in row)
-
-    @pytest.mark.parametrize("m", range(1, 11))
-    @pytest.mark.parametrize("kind", ["borda", "lex"])
-    def test_builtin_convex(self, kind, m):
-        assert is_convex(ScoringSpec(kind), m)
-
-    def test_custom_non_convex(self):
-        # differences 1 then 2 increase with rank
-        g = ScoringSpec.custom([4, 3, 1])
-        assert not is_convex(g, 3)
-
-    def test_custom_convex_table(self):
-        assert is_convex(ScoringSpec.custom([Fraction(7, 2), 2, 1]), 3)
 
     def test_custom_rejects_zero_and_negative(self):
         with pytest.raises(ValueError):

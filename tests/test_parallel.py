@@ -24,7 +24,6 @@ from allocsim.parallel import (
     enumerate_outcomes,
     guaranteed_utilities,
     lottery_expected_utilities,
-    next_reporters,
     parse_policy,
     policy_values_scaled,
     sequential_values_scaled,
@@ -59,34 +58,16 @@ def random_profiles(m, n, count, seed):
     return [Profile(tuple(Ranking(rng.choice(perms)) for _ in range(n))) for _ in range(count)]
 
 
-class TestNextReporters:
-    def test_all_reporting(self):
-        prefix = [(frozenset({1, 2, 3}), frozenset({2}))]
-        assert next_reporters(AllReporting(), prefix, 3) == {1, 2, 3}
-        assert next_reporters(AllReporting(), [], 3) == {1, 2, 3}
-
-    def test_loser_reporting_with_losers(self):
-        prefix = [(frozenset({1, 2, 3}), frozenset({1}))]
-        assert next_reporters(LoserReporting(), prefix, 3) == {1}
-
-    def test_loser_reporting_without_losers(self):
-        prefix = [(frozenset({1, 2, 3}), frozenset())]
-        assert next_reporters(LoserReporting(), prefix, 3) == {1, 2, 3}
-
-    def test_sequential_embedding(self):
-        policy = FromSequential(SequentialPolicy((1, 2, 3, 3, 2)))
-        prefix = [(frozenset({1}), frozenset()), (frozenset({2}), frozenset())]
-        assert next_reporters(policy, prefix, 3) == {3}
-
+class TestPolicies:
     def test_custom_empty_is_violation(self):
         policy = CustomPolicy(lambda prefix: ())
         with pytest.raises(PolicyViolationError):
-            next_reporters(policy, [], 3)
+            policy.reporters(policy.initial_state(), 3)
 
     def test_custom_out_of_range_is_violation(self):
         policy = CustomPolicy(lambda prefix: (4,))
         with pytest.raises(PolicyViolationError):
-            next_reporters(policy, [], 3)
+            policy.reporters(policy.initial_state(), 3)
 
     def test_parse_policy(self):
         assert isinstance(parse_policy("all"), AllReporting)

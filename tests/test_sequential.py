@@ -13,7 +13,7 @@ from allocsim.parallel import STOP, FromSequential, build_structure, enumerate_o
 from allocsim.sequential import (
     Aggregator,
     SequentialPolicy,
-    _expected_score_for_positions,
+    _agent_law,
     canonical_turn_sequences,
     canonicalize_turns,
     optimal_sequential,
@@ -39,7 +39,7 @@ def picks(pi, profile):
 def fraction_positions_dp(m, score_row, picks):
     """Expected total score of an agent picking at the given steps, by the
     positions DP in ``Fraction`` probabilities: the reference for the
-    library's integer form.
+    library's integer law of one agent's run.
 
     Marginalizing over everyone else's uniform, independent rankings, each
     foreign pick removes a uniformly random remaining object of this agent's
@@ -125,7 +125,7 @@ class TestSimulate:
     def test_misfit_raises_one_error_everywhere(self, literal, example_profile, borda):
         # One fit rule serves every welfare route and the allocation
         # structure, with one message; a sequence longer than m would
-        # otherwise build a silent chain of m stages.  The positions DP is
+        # otherwise build a silent chain of m stages.  The agent law is
         # asked at the sequence's own length here, so only the agent misfit
         # reaches it.
         pi = SequentialPolicy.from_literal(literal)
@@ -204,6 +204,8 @@ class TestExpectedUtility:
     @settings(max_examples=200)
     @given(data=st.data())
     def test_integer_positions_dp_equals_fraction_dp(self, data):
+        # The agent law's sum, for one agent picking at the given steps of a
+        # turn sequence, at the scale m! * denom.
         m = data.draw(st.integers(1, 8), label="m")
         picks = frozenset(data.draw(st.sets(st.integers(1, m)), label="picks"))
         values = data.draw(st.lists(
@@ -214,7 +216,8 @@ class TestExpectedUtility:
             ScoringSpec.borda(), ScoringSpec.lexicographic(), ScoringSpec.custom(sorted(values, reverse=True)),
         ]))
         int_row, denom = g.integer_row(m)
-        counted = _expected_score_for_positions(m, int_row, picks)
+        weight, counted, *_ = _agent_law(m, int_row, 0, picks)
+        assert weight == math.factorial(m)
         assert Fraction(counted, math.factorial(m) * denom) == fraction_positions_dp(m, g.score_row(m), picks)
 
     def test_symmetry_reduction_is_exact(self, borda, full_stream_reference):
@@ -316,9 +319,9 @@ class TestOptimalSearch:
             optimal_sequential(30, 2, borda, Aggregator.UTILITARIAN)
 
     def test_positions_cache_is_bounded(self, borda):
-        # Every search of a process shares the positions DP's cache: it has a
+        # Every search of a process shares the agent law's cache: it has a
         # fixed size, large enough for tables 1-4 (about 4,000 entries).
-        maxsize = _expected_score_for_positions.cache_info().maxsize
+        maxsize = _agent_law.cache_info().maxsize
         assert maxsize is not None and maxsize >= 4096
         optimal_sequential(8, 3, borda, Aggregator.UTILITARIAN)
-        assert _expected_score_for_positions.cache_info().currsize <= maxsize
+        assert _agent_law.cache_info().currsize <= maxsize

@@ -25,7 +25,7 @@ from allocsim.sequential import (
     Aggregator,
     SequentialPolicy,
     _best_sequence,
-    _expected_utilities,
+    _stage_law,
     canonical_turn_sequences,
     optimal_sequential,
 )
@@ -122,7 +122,7 @@ class TestSocialWelfare:
         assert value == 4
 
     def test_budget_refusal(self, borda):
-        # ``loser`` has no closed form and no joint law, so it still enumerates.
+        # ``loser`` has no agent law and no joint law, so it still enumerates.
         with pytest.raises(BudgetExceededError):
             evaluate_criterion(parse_criterion("ueu"), LoserReporting(), borda, 9, 3)
 
@@ -180,8 +180,8 @@ class TestIdentityInsensitivity:
 
 
 class TestSequentialEmbeddingConsistency:
-    """The positions DP that serves a turn sequence's profile averages,
-    pinned to the profile pass of the same sequence."""
+    """The agent law that serves a turn sequence's profile averages, pinned
+    to the profile pass of the same sequence."""
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3)])
     def test_welfare_of_embedding_equals_sequential(self, borda, m, n):
@@ -204,33 +204,79 @@ def custom_row(m):
     return ScoringSpec.custom([Fraction(3 * (m - k) + 1, k + 2) for k in range(m)])
 
 
-def assert_closed_form_matches_plain_pass(g, m, n):
-    expected, guaranteed = symmetric_aggregates(AllReporting(), g, m, n)
+def assert_law_matches_plain_pass(g, m, n):
+    law = symmetric_aggregates(AllReporting(), g, m, n)
     plain = profile_aggregates(AllReporting(), g, m, n)
-    assert plain.expected("u") == (expected,) * n
-    assert plain.expected("e") == (guaranteed,) * n
+    assert (law.scale, law.total_weight) == (plain.scale, plain.total_weight)
+    assert (law.sums, law.minima) == (plain.sums, plain.minima)
 
 
-def transitions_by_search(m, n):
-    """Count the closed form's transitions by walking every reachable state."""
-    seen = {tuple(range(1, m + 1))}
-    todo = list(seen)
+def closed_form(g, m, n):
+    """Any one agent's expected and guaranteed utility under all-reporting,
+    each averaged over all profiles, by a ``Fraction`` recursion over the
+    subsets of agent 1's remaining ranks: the reference for the agent law's
+    all-reporting sums.
+
+    Fix agent 1's ranking to the identity: it demands the best remaining
+    rank p, and by deferred decisions each other agent's demand is uniform
+    over the r remaining objects.  With k others on p, agent 1 banks
+    g(p)/(k+1) in expectation and g(p) for sure when k = 0; the next state
+    keeps a uniform subset of the other remaining ranks, of a size set by
+    how many distinct ones the others hit."""
+    row = g.score_row(m)
+    laws = {}
+    for r in range(1, m + 1):
+        hits = [1]  # ways for the others to hit s distinct objects besides p
+        for _ in range(n - 1):
+            grown = [0] * (len(hits) + 1)
+            for s, w in enumerate(hits):
+                grown[s] += w * (s + 1)
+                grown[s + 1] += w * (r - 1 - s)
+            hits = grown
+        total = r ** (n - 1)
+        moves = [(r - 1 - s, Fraction(w, total * math.comb(r - 1, s))) for s, w in enumerate(hits) if w]
+        laws[r] = (Fraction(r**n - (r - 1) ** n, n * total), Fraction((r - 1) ** (n - 1), total), moves)
+    memo = {(): (Fraction(0), Fraction(0))}
+
+    def value(remaining):
+        if remaining not in memo:
+            share, alone, moves = laws[len(remaining)]
+            top, rest = row[remaining[0]], remaining[1:]
+            expected, guaranteed = top * share, top * alone
+            for size, chance in moves:
+                for kept in itertools.combinations(rest, size):
+                    e, gu = value(kept)
+                    expected += chance * e
+                    guaranteed += chance * gu
+            memo[remaining] = (expected, guaranteed)
+        return memo[remaining]
+
+    return value(tuple(range(1, m + 1)))
+
+
+def law_transitions_by_search(m, n):
+    """Count the all-reporting law's transitions by walking every state it
+    reaches: one per reveal and number of objects demanded."""
+    reached = {(m, 0)}
     count = 0
-    while todo:
-        rest = todo.pop()[1:]
-        for dropped in range(min(n - 1, len(rest)) + 1):
-            for kept in itertools.combinations(rest, len(rest) - dropped):
-                count += 1
-                if kept and kept not in seen:
-                    seen.add(kept)
-                    todo.append(kept)
+    for r in range(m, 0, -1):
+        objects = [k for k, *_ in _stage_law(r, n - 1)]
+        for p in [p for left, p in reached if left == r]:
+            reveals = m - p - r + 1
+            count += reveals * len(objects)
+            reached.update((r - k, p + j + 1) for j in range(reveals) for k in objects)
     return count
 
 
+# The table 1-4 cells, at which the all-reporting column is printed.
+TABLE_CELLS = welfare.TABLE_SPECS[1].cells
+
+
 class TestQuotientPass:
-    """The all-reporting closed form, which replaced the quotient pass, pinned
-    to the plain enumeration pass: every agent's profile-averaged expected
-    and guaranteed utility, exactly."""
+    """The all-reporting entry of the agent law, pinned to the plain
+    enumeration pass, to the ``Fraction`` closed form over remaining ranks
+    and to its own budget: every agent's sums and minima of expected and
+    guaranteed utility, exactly."""
 
     @pytest.mark.parametrize("kind", ["borda", "lex", "custom"])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -238,7 +284,7 @@ class TestQuotientPass:
         g = custom_row(m) if kind == "custom" else ScoringSpec(kind)
         # (5, 4) is left out: its plain pass enumerates 1.7M profiles.
         for n in (1, 2, 3, 4) if m < 5 else (1, 2, 3):
-            assert_closed_form_matches_plain_pass(g, m, n)
+            assert_law_matches_plain_pass(g, m, n)
 
     @settings(max_examples=50)
     @given(
@@ -251,24 +297,36 @@ class TestQuotientPass:
             st.fractions(min_value=Fraction(1, 50), max_value=100, max_denominator=60),
             min_size=m, max_size=m,
         ))
-        assert_closed_form_matches_plain_pass(ScoringSpec.custom(sorted(values, reverse=True)), m, n)
+        assert_law_matches_plain_pass(ScoringSpec.custom(sorted(values, reverse=True)), m, n)
+
+    @pytest.mark.parametrize("kind", ["borda", "lex"])
+    @pytest.mark.parametrize("m,n", TABLE_CELLS)
+    def test_all_reporting_means_equal_the_closed_form(self, kind, m, n):
+        g = ScoringSpec(kind)
+        expected, guaranteed = closed_form(g, m, n)
+        law = symmetric_aggregates(AllReporting(), g, m, n)
+        assert (law.expected("u"), law.expected("e")) == ((expected,) * n, (guaranteed,) * n)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (3, 1), (4, 2), (5, 5), (7, 3), (8, 3), (10, 2), (6, 4)])
     def test_budget_estimate_counts_transitions(self, borda, m, n):
         with pytest.raises(BudgetExceededError) as refused:
             symmetric_aggregates(AllReporting(), borda, m, n, budget_units=0)
-        assert refused.value.estimated == transitions_by_search(m, n)
+        count = refused.value.estimated
+        assert count == law_transitions_by_search(m, n)
+        symmetric_aggregates(AllReporting(), borda, m, n, budget_units=count)
+        with pytest.raises(BudgetExceededError):
+            symmetric_aggregates(AllReporting(), borda, m, n, budget_units=count - 1)
 
     def test_budget_is_exact(self, borda):
-        symmetric_aggregates(AllReporting(), borda, 8, 3, budget_units=614)
+        symmetric_aggregates(AllReporting(), borda, 8, 3, budget_units=126)
         with pytest.raises(BudgetExceededError):
-            symmetric_aggregates(AllReporting(), borda, 8, 3, budget_units=613)
+            symmetric_aggregates(AllReporting(), borda, 8, 3, budget_units=125)
 
     def test_timed_out_cells(self, borda):
         # Table 1 cells the enumeration could not answer at the default budget.
         for m, n, printed in ((10, 2, "70.569"), (7, 3, "38.864"), (8, 3, "50.381"), (6, 4, "30.377")):
-            expected, _ = symmetric_aggregates(AllReporting(), borda, m, n)
-            assert close(n * expected, printed, MILLI / 2)
+            expected = symmetric_aggregates(AllReporting(), borda, m, n).expected("u")
+            assert close(sum(expected), printed, MILLI / 2)
 
     def test_rejects_other_policies(self, borda):
         with pytest.raises(ValueError):
@@ -390,8 +448,8 @@ class TestTables:
             assert close(row.value_all_reporting, all_value)
 
     def test_timeout_cells_reported_not_fatal(self):
-        # The all-reporting closed form needs 15 work units at (4, 2) and
-        # 614 at (8, 3).
+        # The all-reporting agent law needs 13 work units at (4, 2) and
+        # 126 at (8, 3).
         rows = reproduce_table(1, cells=[(4, 2), (8, 3)], budget_units=100)
         assert rows[0].status == "ok"
         assert rows[1].status == "timeout"
@@ -544,8 +602,9 @@ class TestPolicyKernelPass:
 
 class TestRoutes:
     """Every profile-space value of ``all`` and of every canonical turn
-    sequence comes from a closed form (y = u) or the joint law of a run
-    (y = e, em-*), never a profile pass; each equals the fold of the pass."""
+    sequence comes from the law of one agent's run (y = u, y = e) or the
+    joint law of a run (em-*), never a profile pass; each equals the fold of
+    the pass."""
 
     @pytest.mark.parametrize("kind", ["borda", "lex", "custom"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -595,15 +654,12 @@ def rational_rows(m):
     return values.map(lambda v: ScoringSpec.custom(sorted(v, reverse=True)))
 
 
-# Table 1-4 cells whose all-reporting column the joint law is held to: every
-# cell with n = 2, and those with n = 3 and m <= 7 or n = 4 and m <= 6.
-LAW_TABLE_CELLS = [(m, 2) for m in range(4, 11)] + [(m, 3) for m in range(4, 8)] + [(m, 4) for m in range(4, 7)]
 DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestJointLaw:
-    """The joint law of a run, held to the profile pass, to both closed
-    forms and to its own budget."""
+    """The joint law of a run, held to the profile pass and to its own
+    budget."""
 
     @settings(max_examples=60)
     @given(cell=st.sampled_from([(m, n) for m in range(1, 6) for n in range(1, 4)]), data=st.data())
@@ -620,8 +676,6 @@ class TestJointLaw:
             assert (law.scale, law.total_weight) == (oracle.scale, oracle.total_weight)
             for statistic in ("sums", "minima", "min_sums"):
                 assert getattr(law, statistic)[z] == getattr(oracle, statistic)[z]
-            first = welfare.joint_law_aggregates(policy, g, m, n, z, joint=False)
-            assert (first.sums[z], first.minima[z]) == (oracle.sums[z], oracle.minima[z])
         if isinstance(policy, FromSequential):
             assert law == oracle  # one run fills both axes
 
@@ -632,7 +686,7 @@ class TestJointLaw:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda budget: evaluate_criterion(parse_criterion("eeu"), AllReporting(), ScoringSpec.borda(), 6, 3,
+            lambda budget: evaluate_criterion(parse_criterion("em-u"), AllReporting(), ScoringSpec.borda(), 6, 2,
                                               budget_units=budget),
             lambda budget: evaluate_criterion(parse_criterion("em-e"), AllReporting(), ScoringSpec.lexicographic(),
                                               5, 3, budget_units=budget),
@@ -640,7 +694,7 @@ class TestJointLaw:
                                               custom_row(6), 6, 3, budget_units=budget),
             lambda budget: optimal_sequential_expected_min(6, 2, ScoringSpec.borda(), budget_units=budget),
         ],
-        ids=["all-eeu", "all-em-e", "seq-em-u", "search"],
+        ids=["all-em-u", "all-em-e", "seq-em-u", "search"],
     )
     def test_budget_is_the_work_count(self, laws, call):
         # One unit per agent entry written: n per transition.
@@ -668,28 +722,57 @@ class TestJointLaw:
         prefixes = {turns[:k] for turns in canonical_turn_sequences(6, 3) for k in range(1, 7)}
         assert len(taken) == len(prefixes)
 
-    @pytest.mark.parametrize("kind", ["borda", "lex"])
-    @pytest.mark.parametrize("m,n", LAW_TABLE_CELLS)
-    def test_all_reporting_means_equal_the_closed_form(self, kind, m, n):
-        g = ScoringSpec(kind)
-        expected, guaranteed = symmetric_aggregates(AllReporting(), g, m, n)
-        for z, want in (("u", expected), ("e", guaranteed)):
-            assert welfare.joint_law_aggregates(AllReporting(), g, m, n, z, joint=False).expected(z) == (want,) * n
 
-    @pytest.mark.parametrize("table_id", [1, 2, 3, 4])
-    def test_printed_pi_star_means_equal_the_positions_dp(self, table_id):
+def agent_record(policy, g, m, n):
+    """The record of the per-agent route: the agent law's all-reporting entry
+    or its turn-sequence record."""
+    if isinstance(policy, AllReporting):
+        return symmetric_aggregates(policy, g, m, n)
+    return welfare._sequence_record(policy, g, m, n)
+
+
+def printed_pi_stars():
+    """Every (scoring, m, n, pi*) printed in tables 1-4."""
+    for table_id in (1, 2, 3, 4):
         g = ScoringSpec.borda() if table_id in (1, 3) else ScoringSpec.lexicographic()
-        checked = 0
         for row in csv.DictReader(io.StringIO((DATA / f"table{table_id}.csv").read_text())):
-            if not row["pi_star"]:
-                continue
-            m, n = int(row["m"]), int(row["n"])
-            policy = SequentialPolicy.from_literal(row["pi_star"])
-            int_row, denom = g.integer_row(m)
-            want = tuple(Fraction(v, math.factorial(m) * denom) for v in _expected_utilities(policy.turns, n, int_row))
-            assert welfare.joint_law_aggregates(FromSequential(policy), g, m, n, "u").expected("u") == want
+            if row["pi_star"]:
+                yield g, int(row["m"]), int(row["n"]), SequentialPolicy.from_literal(row["pi_star"])
+
+
+class TestAgentLaw:
+    """The law of one agent's run, which serves every per-agent value of
+    ``all`` and of a turn sequence, held to the profile pass and to the
+    joint law of a run."""
+
+    @settings(max_examples=60)
+    @given(cell=st.sampled_from([(m, n) for m in range(1, 6) for n in range(1, 4)]), data=st.data())
+    def test_record_equals_the_pass(self, cell, data):
+        m, n = cell
+        g = data.draw(st.sampled_from([ScoringSpec.borda(), ScoringSpec.lexicographic()]) | rational_rows(m))
+        if data.draw(st.booleans(), label="all"):
+            policy = AllReporting()
+        else:
+            policy = FromSequential(SequentialPolicy(data.draw(st.sampled_from(list(canonical_turn_sequences(m, n))))))
+        law, oracle = agent_record(policy, g, m, n), profile_aggregates(policy, g, m, n)
+        assert (law.scale, law.total_weight) == (oracle.scale, oracle.total_weight)
+        assert (law.sums, law.minima) == (oracle.sums, oracle.minima)
+
+    @pytest.mark.parametrize("m,n", [(7, 3), (6, 4), (10, 2)])
+    def test_all_reporting_minima_equal_the_joint_law(self, borda, m, n):
+        law = symmetric_aggregates(AllReporting(), borda, m, n)
+        for z in ("u", "e"):
+            joint = welfare.joint_law_aggregates(AllReporting(), borda, m, n, z, budget_units=10**9)
+            assert (law.sums[z], law.minima[z]) == (joint.sums[z], joint.minima[z])
+
+    def test_printed_pi_stars_equal_the_joint_law(self):
+        checked = 0
+        for g, m, n, policy in printed_pi_stars():
+            law = agent_record(FromSequential(policy), g, m, n)
+            joint = welfare.joint_law_aggregates(FromSequential(policy), g, m, n, "u")
+            assert (law.total_weight, law.sums, law.minima) == (joint.total_weight, joint.sums, joint.minima)
             checked += 1
-        assert checked == 15
+        assert checked == 60
 
 
 class TestPoolChunks:
