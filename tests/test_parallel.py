@@ -59,6 +59,57 @@ def random_profiles(m, n, count, seed):
 
 
 class TestPolicies:
+    """Each policy's reporter sets, stepped through its own state machine."""
+
+    def test_all_reporting(self):
+        policy = AllReporting()
+        state = policy.initial_state()
+        assert policy.reporters(state, 3) == {1, 2, 3}
+        state = policy.advance(state, frozenset({1, 2, 3}), frozenset({2}))
+        assert policy.reporters(state, 3) == {1, 2, 3}
+
+    def test_loser_reporting_with_losers(self):
+        policy = LoserReporting()
+        state = policy.advance(policy.initial_state(), frozenset({1, 2, 3}), frozenset({1}))
+        assert policy.reporters(state, 3) == {1}
+
+    def test_loser_reporting_without_losers(self):
+        policy = LoserReporting()
+        state = policy.advance(policy.initial_state(), frozenset({1, 2, 3}), frozenset())
+        assert policy.reporters(state, 3) == {1, 2, 3}
+
+    def test_sequential_embedding(self):
+        policy = FromSequential(SequentialPolicy((1, 2, 3, 3, 2)))
+        state = policy.initial_state()
+        seen = []
+        for _ in range(5):
+            reporters = policy.reporters(state, 3)
+            seen.append(reporters)
+            state = policy.advance(state, reporters, frozenset())
+        assert seen == [{1}, {2}, {3}, {3}, {2}]
+        with pytest.raises(PolicyViolationError):
+            policy.reporters(state, 3)
+
+    def test_sequential_agent_out_of_range_is_violation(self):
+        policy = FromSequential(SequentialPolicy((1, 2, 3)))
+        state = policy.advance(policy.initial_state(), frozenset({1}), frozenset())
+        assert policy.reporters(state, 2) == {2}
+        state = policy.advance(state, frozenset({2}), frozenset())
+        with pytest.raises(PolicyViolationError):
+            policy.reporters(state, 2)
+
+    def test_custom_sees_the_history(self):
+        # The function gets every earlier stage's (reporters, losers) pair.
+        histories = []
+        policy = CustomPolicy(lambda prefix: histories.append(prefix) or (len(prefix) % 2 + 1,))
+        state = policy.initial_state()
+        for losers in (frozenset(), frozenset({2})):
+            reporters = policy.reporters(state, 2)
+            state = policy.advance(state, reporters, losers)
+        assert policy.reporters(state, 2) == {1}
+        assert histories == [(), ((frozenset({1}), frozenset()),),
+                             ((frozenset({1}), frozenset()), (frozenset({2}), frozenset({2})))]
+
     def test_custom_empty_is_violation(self):
         policy = CustomPolicy(lambda prefix: ())
         with pytest.raises(PolicyViolationError):
