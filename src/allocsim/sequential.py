@@ -222,13 +222,29 @@ def _law_transitions(m: int, n: int) -> int:
     return sum((m - p - r + 1) * min(n, r) for r in range(1, m + 1) for p in range(-(-(m - r) // n), m - r + 1))
 
 
-def _agent_laws(turns: Sequence[int], n: int, int_row: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every agent's :func:`_agent_law` under a turn sequence whose fit the
-    caller has checked: weights at the scale ``m!``, totals on ``int_row``."""
+def _sequence_transitions(turns: Sequence[int]) -> int:
+    """The transitions of :func:`_agent_law` over every agent of a turn
+    sequence, one per reveal at each state it expands: at an agent's pick at
+    step s, from each p between its picks so far and the step of its last
+    pick (0 before its first), s - p reveals."""
+    total, last = 0, {}  # last: agent -> (picks so far, step of its last pick)
+    for step, t in enumerate(turns, start=1):
+        picks, before = last.get(t, (0, 0))
+        total += sum(step - p for p in range(picks, before + 1))
+        last[t] = (picks + 1, step)
+    return total
+
+
+def _agent_laws(turns: Sequence[int] | None, m: int, n: int, int_row: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every agent's :func:`_agent_law`: under all-reporting (``turns`` is
+    None) one law for all n agents alike, under a turn sequence whose fit the
+    caller has checked the law of each agent's picking steps."""
+    if turns is None:
+        return (_agent_law(m, int_row, n - 1, None),) * n
     picks: list[set[int]] = [set() for _ in range(n)]
     for step, t in enumerate(turns, start=1):
         picks[t - 1].add(step)
-    return tuple(_agent_law(len(turns), int_row, 0, frozenset(p)) for p in picks)
+    return tuple(_agent_law(m, int_row, 0, frozenset(p)) for p in picks)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +318,6 @@ def optimal_sequential(
     int_row, denom = g.integer_row(m)
     pi, best = _best_sequence(
         canonical_turn_sequences(m, n),
-        lambda turns: aggregator.apply(law[1] for law in _agent_laws(turns, n, int_row)),
+        lambda turns: aggregator.apply(law[1] for law in _agent_laws(turns, m, n, int_row)),
     )
     return pi, Fraction(best, math.factorial(m) * denom)

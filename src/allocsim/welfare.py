@@ -6,18 +6,18 @@ over lottery outcomes (z).  ``sw(x,y,z)`` composes them outside-in.  A second,
 non-compositional reading used by the expected-min comparison suite averages
 the per-profile minimum across agents: ``E_R[min_i u_i(z, R)]``.
 
-Everything here is exact.  Each value's route is chosen from its input
-(policy and criterion), whichever caller asks:
+Everything here is exact.  One function, :func:`_record_for`, chooses each
+value's producer from its input (policy and criterion), whichever caller
+asks:
 
 * every per-agent value of ``all`` or of a turn sequence (y = u or y = e,
   either z) comes from the integer law of one agent's run
-  (``_agent_law`` of :mod:`allocsim.sequential`; :func:`symmetric_aggregates`
-  for ``all``), in which the agent draws its ranking lazily from the top,
-  without enumerating profiles;
+  (:func:`symmetric_aggregates`, over ``_agent_law`` of
+  :mod:`allocsim.sequential`), in which the agent draws its ranking lazily
+  from the top, without enumerating profiles;
 * ``em-u`` and ``em-e`` of ``all`` or of a turn sequence come from one
   integer DP over the joint law of a run (:func:`joint_law_aggregates`), in
-  which every agent draws her ranking lazily from the top, without
-  enumerating profiles;
+  which every agent draws her ranking lazily from the top;
 * every value of ``loser`` and custom policies is one pass over a profile
   stream (:func:`profile_aggregates`) with the memoized integer kernel
   ``policy_values_scaled`` of :mod:`allocsim.parallel`; a single profile
@@ -31,18 +31,19 @@ Everything here is exact.  Each value's route is chosen from its input
 
 A pass yields one :class:`ProfileAggregates` record: for each lottery axis,
 every agent's weighted utility sum and minimum over profiles and the weighted
-sum of the per-profile minimum, all integers over one scale, divided only
-when a criterion reads them.  A turn sequence has one run, so its pass
-totals one axis and reports it for both.  The joint law yields the same
-integers, for the lottery axis asked, and the agent law the same sums and
-minima, for both axes.  Chunks' records merge by summing in order.  With
-``jobs > 1`` a large enough pass is chunked across one worker pool that
-lives as long as that pass, its chunks holding about equal numbers of
-profiles; the chunk reduction is order-fixed and exact, so results are
-bit-identical for any worker count.  The expected-min search
-over turn sequences scores every candidate on the joint law of its run,
-replaying only the turns after the prefix it shares with the candidate
-before; it runs in-process and starts no pool.
+sum of the per-profile minimum, all integers over one scale, divided only when
+a criterion reads them.  One accumulator, :func:`_accumulate`, builds it.  A
+turn sequence has one run, so its pass totals one axis and reports it for
+both.  The joint law yields the same integers, for the lottery axis asked, and
+the agent law the same sums and minima, for both axes; reading a statistic a
+record does not hold raises ``ValueError``.  Chunks' records merge by summing
+in order.  With ``jobs > 1`` a large enough pass is chunked across one worker
+pool that lives as long as that pass, its chunks holding about equal numbers
+of profiles; the chunk reduction is order-fixed and exact, so results are
+bit-identical for any worker count.  The expected-min search over turn
+sequences scores every candidate on the joint law of its run, replaying only
+the turns after the prefix it shares with the candidate before; it runs
+in-process and starts no pool.
 """
 
 from __future__ import annotations
@@ -72,11 +73,11 @@ from .parallel import (
 from .sequential import (
     Aggregator,
     SequentialPolicy,
-    _agent_law,
     _agent_laws,
     _best_sequence,
     _law_transitions,
     _reveals,
+    _sequence_transitions,
     _share,
     canonical_turn_sequences,
     optimal_sequential,
@@ -191,14 +192,23 @@ class ProfileAggregates:
     minima: dict[str, tuple[int, ...]]
     min_sums: dict[str, int]
 
+    def _held(self, statistic: str, z: str):
+        if z not in (held := getattr(self, statistic)):
+            raise ValueError(f"this record holds no {statistic} for lottery axis {z!r}")
+        return held[z]
+
     def expected(self, z: str) -> tuple[Fraction, ...]:
-        return tuple(Fraction(s, self.scale * self.total_weight) for s in self.sums[z])
+        return tuple(Fraction(s, self.scale * self.total_weight) for s in self._held("sums", z))
 
     def minimum(self, z: str) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.scale) for v in self.minima[z])
+        return tuple(Fraction(v, self.scale) for v in self._held("minima", z))
+
+    def values(self, y: str, z: str) -> tuple[Fraction, ...]:
+        """Every agent's mean (y = u) or worst case (y = e) over profiles."""
+        return self.expected(z) if y == "u" else self.minimum(z)
 
     def expected_min(self, z: str) -> Fraction:
-        return Fraction(self.min_sums[z], self.scale * self.total_weight)
+        return Fraction(self._held("min_sums", z), self.scale * self.total_weight)
 
     @classmethod
     def merge(cls, parts: Sequence["ProfileAggregates"]) -> "ProfileAggregates":
@@ -224,38 +234,38 @@ class ProfileAggregates:
         )
 
 
-def _chunk_stats(orders_iter, evaluate, n: int, scale: int) -> ProfileAggregates:
-    """Accumulate the statistics of one chunk in integers: ``scale`` times
-    every utility sum and minimum, exactly.  A chunk is never empty:
-    :meth:`ProfileStream.partition` drops empty windows, and the orbit walk
+def _accumulate(items, axes: Sequence[str], scale: int) -> ProfileAggregates:
+    """The record, at ``scale``, of ``items``: ``(vectors, weight)`` pairs
+    with one per-agent vector of integers for each group of lottery axes in
+    ``axes``, such as ``("u", "e")``, or ``("ue",)`` when one vector serves
+    both axes.  Each group's axes get every agent's weighted sum and minimum
+    of its vector and the weighted sum of its least entry.  ``items`` is
+    never empty:
+    :meth:`ProfileStream.partition` drops empty windows, the orbit walk
     yields, for each leading ranking of a window, the item whose later
-    rankings all equal it."""
-    count = 0
-    sum_hat = [0] * n
-    sum_under = [0] * n
-    min_hat: list[int | None] = [None] * n
-    min_under: list[int | None] = [None] * n
-    sum_min_hat = 0
-    sum_min_under = 0
-    for orders, weight in orders_iter:
-        hat, under = evaluate(orders)
+    rankings all equal it, and a law ends at least one run."""
+    items = iter(items)
+    first, count = next(items)
+    agents, groups = range(len(first[0])), range(len(axes))
+    sums = [[v * count for v in values] for values in first]
+    minima = [list(values) for values in first]
+    min_sums = [min(values) * count for values in first]
+    for vectors, weight in items:
         count += weight
-        for i in range(n):
-            h, u = hat[i], under[i]
-            sum_hat[i] += h * weight
-            sum_under[i] += u * weight
-            if min_hat[i] is None or h < min_hat[i]:
-                min_hat[i] = h
-            if min_under[i] is None or u < min_under[i]:
-                min_under[i] = u
-        sum_min_hat += min(hat) * weight
-        sum_min_under += min(under) * weight
+        for g in groups:
+            values, total, low = vectors[g], sums[g], minima[g]
+            for i in agents:
+                v = values[i]
+                total[i] += v * weight
+                if v < low[i]:
+                    low[i] = v
+            min_sums[g] += min(values) * weight
     return ProfileAggregates(
         scale,
         count,
-        {"u": tuple(sum_hat), "e": tuple(sum_under)},
-        {"u": tuple(min_hat), "e": tuple(min_under)},
-        {"u": sum_min_hat, "e": sum_min_under},
+        {z: tuple(sums[g]) for g in groups for z in axes[g]},
+        {z: tuple(minima[g]) for g in groups for z in axes[g]},
+        {z: min_sums[g] for g in groups for z in axes[g]},
     )
 
 
@@ -308,36 +318,17 @@ def _stats_for_chunk(orders_iter, policy, g, m, n):
     sequence (whose fit the caller has checked; its one vector serves both
     lottery axes), the memoized lottery recursion for every other policy."""
     int_row, denom = g.integer_row(m)
-    if isinstance(policy, AllReporting):
-        scale = math.lcm(*range(1, n + 1))
-        return _chunk_stats(
-            orders_iter,
-            lambda orders: all_reporting_values_scaled(orders, int_row, scale),
-            n,
-            scale * denom,
-        )
     if isinstance(policy, FromSequential):
         turns = policy.policy.turns
-        count = min_sum = 0
-        sums = [0] * n
-        minima = [math.inf] * n
-        for orders, weight in orders_iter:
-            values = sequential_values_scaled(turns, orders, int_row, 1)
-            count += weight
-            for i in range(n):
-                v = values[i]
-                sums[i] += v * weight
-                if v < minima[i]:
-                    minima[i] = v
-            min_sum += min(values) * weight
-        return ProfileAggregates(denom, count, *(dict.fromkeys("ue", s) for s in (tuple(sums), tuple(minima), min_sum)))
-    scale = math.lcm(*range(1, n + 1)) ** m
-    return _chunk_stats(
-        orders_iter,
-        lambda orders: policy_values_scaled(policy, orders, int_row, scale),
-        n,
-        scale * denom,
-    )
+        runs = (((sequential_values_scaled(turns, orders, int_row, 1),), weight) for orders, weight in orders_iter)
+        return _accumulate(runs, ("ue",), denom)
+    if isinstance(policy, AllReporting):
+        scale = math.lcm(*range(1, n + 1))
+        runs = ((all_reporting_values_scaled(orders, int_row, scale), weight) for orders, weight in orders_iter)
+    else:
+        scale = math.lcm(*range(1, n + 1)) ** m
+        runs = ((policy_values_scaled(policy, orders, int_row, scale), weight) for orders, weight in orders_iter)
+    return _accumulate(runs, ("u", "e"), scale * denom)
 
 
 def worker_count(jobs: int, cpus: int | None) -> int:
@@ -384,9 +375,8 @@ def profile_aggregates(
 
 
 # ---------------------------------------------------------------------------
-# Per-agent records of all-reporting and turn sequences, read off the law of
-# one agent's run (:func:`allocsim.sequential._agent_law`).  Under
-# all-reporting, by agent symmetry, one agent's law is every agent's.
+# Per-agent records read off the law of one agent's run (sequential._agent_law),
+# under all-reporting every agent's by symmetry.
 
 
 def symmetric_aggregates(
@@ -396,40 +386,31 @@ def symmetric_aggregates(
     n: int,
     budget_units: int | None = None,
 ) -> ProfileAggregates:
-    """The record of the profile pass of all-reporting, for both lottery
-    axes, without its per-profile minimum (``min_sums`` is empty): any one
-    agent's sums and minima, reported for every agent, from the law of its
-    run.  One work unit is one transition of the law.
+    """The record of the profile pass of all-reporting or of a turn
+    sequence, for both lottery axes, without its per-profile minimum
+    (``min_sums`` is empty): every agent's sums and minima, from the law of
+    its run.  Under a turn sequence the other agents' rankings multiply the
+    law's weights by ``(m!) ** (n - 1)``.  One work unit is one transition of
+    the law, all of them counted before the first.
 
     ``bench/tracer.py`` wraps this function by its name and reads its
     ``policy``, ``m``, ``n`` and ``budget_units`` arguments.
     """
-    if not isinstance(policy, AllReporting):
-        raise ValueError("the agent law's all-reporting entry only applies to the all-reporting policy")
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
-    _within_budget(_law_transitions(m, n), budget_units, "the agent law needs")
-    int_row, denom = g.integer_row(m)
-    return _agents_record((_agent_law(m, int_row, n - 1, None),) * n, math.lcm(*range(1, n + 1)) * denom, 1)
-
-
-def _sequence_record(policy: FromSequential, g: ScoringSpec, m: int, n: int) -> ProfileAggregates:
-    """The record of the profile pass of a turn sequence without its
-    per-profile minimum (``min_sums`` is empty): every agent's sums and
-    minima, from the law of its run, whose weights the other agents'
-    rankings multiply by ``(m!) ** (n - 1)``."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must both be at least 1")
+    if isinstance(policy, AllReporting):
+        turns, estimate, scale, others = None, _law_transitions(m, n), math.lcm(*range(1, n + 1)), 1
+    elif isinstance(policy, FromSequential):
+        turns = policy.policy.turns
+        estimate, scale, others = _sequence_transitions(turns), 1, math.factorial(m) ** (n - 1)
+    else:
+        raise ValueError("the agent law only serves all-reporting and turn sequences")
     policy.check_fit(m, n)
+    _within_budget(estimate, budget_units, "the agent law needs")
     int_row, denom = g.integer_row(m)
-    return _agents_record(_agent_laws(policy.policy.turns, n, int_row), denom, math.factorial(m) ** (n - 1))
-
-
-def _agents_record(laws: Sequence[tuple[int, ...]], scale: int, others: int) -> ProfileAggregates:
-    """The record of every agent's :func:`~allocsim.sequential._agent_law`,
-    with its weights and sums times ``others``."""
+    laws = _agent_laws(turns, m, n, int_row)
     return ProfileAggregates(
-        scale,
+        scale * denom,
         laws[0][0] * others,
         {"u": tuple(law[1] * others for law in laws), "e": tuple(law[2] * others for law in laws)},
         {"u": tuple(law[3] for law in laws), "e": tuple(law[4] for law in laws)},
@@ -584,61 +565,33 @@ def joint_law_aggregates(
         law = run.start()
         for agent in policy.policy.turns:
             law = run.turn(law, agent)
-        return _law_record(run.finished(law), "ue", denom)
-    if not isinstance(policy, AllReporting):
+        ended, axes, scale = run.finished(law), "ue", 1
+    elif isinstance(policy, AllReporting):
+        scale = math.lcm(*range(1, n + 1))
+        ended, axes = run.all_reporting(scale, z), z
+    else:
         raise ValueError("the joint law only serves all-reporting and turn sequences")
-    scale = math.lcm(*range(1, n + 1))
-    return _law_record(run.all_reporting(scale, z), z, scale * denom).agent_one_for_all()
-
-
-def _law_record(ended: dict[tuple[int, ...], int], axes: str, scale: int) -> ProfileAggregates:
-    """The record, for each lottery axis in ``axes``, of the weights of
-    ended runs' totals: every agent's sum and minimum, and the sum of the
-    per-run minimum across agents."""
-    n = len(next(iter(ended)))
-    count = min_sum = 0
-    sums = [0] * n
-    minima = [math.inf] * n
-    for totals, weight in ended.items():
-        count += weight
-        for i in range(n):
-            sums[i] += totals[i] * weight
-            minima[i] = min(minima[i], totals[i])
-        min_sum += min(totals) * weight
-    return ProfileAggregates(
-        scale,
-        count,
-        dict.fromkeys(axes, tuple(sums)),
-        dict.fromkeys(axes, tuple(minima)),
-        dict.fromkeys(axes, min_sum),
-    )
+    record = _accumulate((((totals,), weight) for totals, weight in ended.items()), (axes,), scale * denom)
+    return record.agent_one_for_all() if isinstance(policy, AllReporting) else record
 
 
 # ---------------------------------------------------------------------------
 # Criterion evaluation
 
 
-def _agent_values(
-    y: str,
-    z: str,
-    policy: ParallelPolicy,
-    g: ScoringSpec,
-    m: int,
-    n: int,
-    jobs: int,
+def _record_for(
+    criterion: WelfareCriterion, policy: ParallelPolicy, g: ScoringSpec, m: int, n: int, jobs: int,
     budget_units: int | None,
-) -> tuple[Fraction, ...]:
-    """Every agent's mean (y = u) or worst case (y = e) over all profiles of
-    her expected (z = u) or guaranteed (z = e) utility, read off the law of
-    one agent's run for ``all`` and turn sequences, and off one profile pass,
-    the oracle the tests hold the law to, for every other policy."""
-    if isinstance(policy, AllReporting):
-        stats = symmetric_aggregates(policy, g, m, n, budget_units)
-    elif isinstance(policy, FromSequential):
-        stats = _sequence_record(policy, g, m, n)
-    else:
-        stats = profile_aggregates(policy, g, m, n, jobs, budget_units)
-    return stats.expected(z) if y == "u" else stats.minimum(z)
+) -> ProfileAggregates:
+    """The record that holds ``criterion``'s statistic: for ``all`` and turn
+    sequences, the joint law of a run for em-* and the law of one agent's run
+    for every per-agent value; one profile pass, the oracle the tests hold
+    both laws to, for every other policy."""
+    if not isinstance(policy, (AllReporting, FromSequential)):
+        return profile_aggregates(policy, g, m, n, jobs, budget_units)
+    if criterion.mode == "emin":
+        return joint_law_aggregates(policy, g, m, n, criterion.z, budget_units)
+    return symmetric_aggregates(policy, g, m, n, budget_units)
 
 
 def agent_value(
@@ -656,7 +609,7 @@ def agent_value(
     all profiles of her expected (z='u') or guaranteed (z='e') utility."""
     if not 1 <= agent <= n:
         raise ValueError(f"agent {agent} out of range 1..{n}")
-    return _agent_values(y, z, policy, g, m, n, jobs, budget_units)[agent - 1]
+    return _record_for(parse_criterion(f"u{y}{z}"), policy, g, m, n, jobs, budget_units).values(y, z)[agent - 1]
 
 
 def expected_min_welfare(
@@ -681,17 +634,13 @@ def evaluate_criterion(
     jobs: int = 1,
     budget_units: int | None = None,
 ) -> Fraction:
-    """A criterion's value: the expected-min reading, from the joint law of
-    a run for ``all`` and turn sequences and from one profile pass for every
-    other policy, or the per-agent values over profiles (y) folded over
-    agents (x)."""
+    """A criterion's value: the expected-min reading, or the per-agent values
+    over profiles (y) folded over agents (x), from the record
+    :func:`_record_for` picks."""
+    stats = _record_for(criterion, policy, g, m, n, jobs, budget_units)
     if criterion.mode == "emin":
-        if isinstance(policy, (AllReporting, FromSequential)):
-            stats = joint_law_aggregates(policy, g, m, n, criterion.z, budget_units)
-        else:
-            stats = profile_aggregates(policy, g, m, n, jobs, budget_units)
         return stats.expected_min(criterion.z)
-    return Aggregator(criterion.x).apply(_agent_values(criterion.y, criterion.z, policy, g, m, n, jobs, budget_units))
+    return Aggregator(criterion.x).apply(stats.values(criterion.y, criterion.z))
 
 
 def profile_utilities(

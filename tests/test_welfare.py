@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import allocsim.sequential as sequential
 import allocsim.welfare as welfare
 from allocsim.errors import BudgetExceededError, PolicyViolationError
 from allocsim.model import Profile, Ranking, ScoringSpec, enumerate_profiles, identity_ranking
@@ -632,6 +633,38 @@ class TestRoutes:
                 assert evaluate_criterion(parse_criterion(f"em-{z}"), policy, g, m, n) == stats.expected_min(z)
         assert passes == []
 
+    @pytest.mark.parametrize(
+        "policy,law",
+        [
+            (AllReporting(), True),
+            (FromSequential(SequentialPolicy((1, 2, 2, 1))), True),
+            (LoserReporting(), False),
+            (CustomPolicy(lambda history: (len(history) % 2 + 1,), name="alternate"), False),
+        ],
+        ids=["all", "seq", "loser", "custom"],
+    )
+    def test_each_value_calls_its_producer(self, policy, law, monkeypatch, borda):
+        # README's code-path table: the agent law for every x y z of `all`
+        # and of a sequence, the joint law for their em-*, and a profile pass
+        # for every value of every other policy.
+        calls = []
+        for name in ("symmetric_aggregates", "joint_law_aggregates", "profile_aggregates"):
+            def recorded(*args, _name=name, _produce=getattr(welfare, name), **kwargs):
+                calls.append(_name)
+                return _produce(*args, **kwargs)
+
+            monkeypatch.setattr(welfare, name, recorded)
+
+        per_agent = "symmetric_aggregates" if law else "profile_aggregates"
+        for x, y, z in itertools.product("ue", repeat=3):
+            evaluate_criterion(parse_criterion(x + y + z), policy, borda, 4, 2)
+            agent_value(2, y, z, policy, borda, 4, 2)
+            assert calls == [per_agent] * 2
+            calls.clear()
+        for z in "ue":
+            evaluate_criterion(parse_criterion(f"em-{z}"), policy, borda, 4, 2)
+        assert calls == ["joint_law_aggregates" if law else "profile_aggregates"] * 2
+
 
 @pytest.fixture
 def laws(monkeypatch):
@@ -724,11 +757,9 @@ class TestJointLaw:
 
 
 def agent_record(policy, g, m, n):
-    """The record of the per-agent route: the agent law's all-reporting entry
-    or its turn-sequence record."""
-    if isinstance(policy, AllReporting):
-        return symmetric_aggregates(policy, g, m, n)
-    return welfare._sequence_record(policy, g, m, n)
+    """The record of the per-agent route, the agent law's one entry for
+    all-reporting and turn sequences."""
+    return symmetric_aggregates(policy, g, m, n)
 
 
 def printed_pi_stars(table_id):
@@ -739,10 +770,75 @@ def printed_pi_stars(table_id):
             yield g, int(row["m"]), int(row["n"]), SequentialPolicy.from_literal(row["pi_star"])
 
 
+def sequence_transitions_by_search(turns, n):
+    """Count a turn sequence's agent-law transitions by walking every state
+    each agent's law reaches: one per reveal at each of its picks."""
+    m = len(turns)
+    count = 0
+    for agent in range(1, n + 1):
+        reached = {0}
+        for step in [step for step, t in enumerate(turns, start=1) if t == agent]:
+            r = m - step + 1
+            grown = set()
+            for p in reached:
+                reveals = m - p - r + 1
+                count += reveals
+                grown.update(range(p + 1, p + reveals + 1))
+            reached = grown
+    return count
+
+
 class TestAgentLaw:
     """The law of one agent's run, which serves every per-agent value of
-    ``all`` and of a turn sequence, held to the profile pass and to the
-    joint law of a run."""
+    ``all`` and of a turn sequence, held to the profile pass, to the joint
+    law of a run and to its budget."""
+
+    def test_sequence_budget_estimate_counts_transitions(self, borda):
+        checked = 0
+        for m in range(1, 9):
+            for n in range(1, 4):
+                for turns in canonical_turn_sequences(m, n):
+                    policy = FromSequential(SequentialPolicy(turns))
+                    with pytest.raises(BudgetExceededError) as refused:
+                        symmetric_aggregates(policy, borda, m, n, budget_units=0)
+                    count = refused.value.estimated
+                    assert count == sequence_transitions_by_search(turns, n)
+                    symmetric_aggregates(policy, borda, m, n, budget_units=count)
+                    with pytest.raises(BudgetExceededError):
+                        symmetric_aggregates(policy, borda, m, n, budget_units=count - 1)
+                    checked += 1
+        assert checked == 8 + 255 + 1644  # n = 1, 2 and 3
+
+    @pytest.mark.parametrize(
+        "policy", [AllReporting(), FromSequential(SequentialPolicy((1, 2, 1, 1, 2)))], ids=["all", "seq"]
+    )
+    def test_zero_budget_refuses_before_the_law(self, policy, monkeypatch, borda):
+        def law(*args):
+            raise AssertionError("the agent law ran")
+
+        monkeypatch.setattr(sequential, "_agent_law", law)
+        with pytest.raises(AssertionError, match="the agent law ran"):
+            symmetric_aggregates(policy, borda, 5, 2)
+        with pytest.raises(BudgetExceededError):
+            symmetric_aggregates(policy, borda, 5, 2, budget_units=0)
+
+    def test_misfit_sequence_is_refused_before_the_budget(self, borda):
+        with pytest.raises(PolicyViolationError):
+            symmetric_aggregates(FromSequential(SequentialPolicy((1, 2, 3))), borda, 3, 2, budget_units=0)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda g: symmetric_aggregates(AllReporting(), g, 3, 2).expected_min("u"),
+            lambda g: symmetric_aggregates(FromSequential(SequentialPolicy((1, 2, 1))), g, 3, 2).expected_min("e"),
+            lambda g: welfare.joint_law_aggregates(AllReporting(), g, 3, 2, "u").expected("e"),
+            lambda g: welfare.joint_law_aggregates(AllReporting(), g, 3, 2, "e").minimum("u"),
+        ],
+        ids=["all-expected-min", "seq-expected-min", "joint-expected", "joint-minimum"],
+    )
+    def test_records_refuse_what_they_do_not_hold(self, read, borda):
+        with pytest.raises(ValueError, match="holds no (min_sums|sums|minima) for lottery axis"):
+            read(borda)
 
     @settings(max_examples=60)
     @given(cell=st.sampled_from([(m, n) for m in range(1, 6) for n in range(1, 4)]), data=st.data())
