@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 input parse error, 4 budget exceeded,
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -162,11 +163,24 @@ def _warn_small_m(m: int, n: int):
         click.echo(f"warning: m={m} < n={n}; floor guarantees assume m >= n", err=True)
 
 
+class _Command(click.Command):
+    def make_parser(self, ctx):
+        """Click's parser, matching a short option such as ``-m`` at once:
+        click tries each option as a long one first, and on a miss imports
+        difflib to suggest long names before it tries the short ones."""
+        parser = super().make_parser(ctx)
+        parser._long_opt.update(parser._short_opt)
+        return parser
+
+
 @click.group()
 @click.version_option(__version__, prog_name="allocsim")
 def cli():
     """Allocation protocols for indivisible goods: simulation, exact welfare
     criteria, optimal turn sequences and strategic analysis."""
+
+
+cli.command_class = _Command
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +457,10 @@ def manipulate(others_path, target_literal, optimal, profile_path, scoring_liter
 def main():
     cli(prog_name="allocsim")
 
+
+# What the command line has loaded by now lives as long as the process: no
+# collection need walk it again.
+gc.freeze()
 
 if __name__ == "__main__":
     main()

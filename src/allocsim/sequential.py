@@ -5,7 +5,8 @@ A turn sequence is played and averaged over profiles as a parallel policy
 with one reporter per stage (``FromSequential`` in :mod:`allocsim.parallel`,
 served by :mod:`allocsim.welfare`).  What stays here has no parallel
 counterpart, save the law of one agent's run, which serves every per-agent
-profile average and worst case of a turn sequence and of all-reporting:
+profile average and worst case of a turn sequence and of all-reporting (and
+of ``loser``, the average expected and least guaranteed utility):
 from one agent's point of view every other agent demands a uniformly random
 remaining object, while the agent demands its best remaining one.  Under a
 sequence the law is a function of the steps at which the agent picks, which
@@ -233,6 +234,78 @@ def _sequence_transitions(turns: Sequence[int]) -> int:
         total += sum(step - p for p in range(picks, before + 1))
         last[t] = (picks + 1, step)
     return total
+
+
+def _loser_moves(r: int, a: int, k: int, n: int) -> Iterator[tuple[int, bool, int, int]]:
+    """The outcomes of a stage of r objects under ``loser`` (only the last
+    stage's lottery losers report, everyone after a stage without losers),
+    with the agent reporting (a = 1) or not and k others: ``(d, lost, next a,
+    next k)``, when d objects go; the agent can lose only when d <= k."""
+    for d in range(1, min(r, k + a) + 1):
+        for lost in (False, True) if a and d <= k else (False,):
+            losers = a + k - d  # they report next, everyone when there are none
+            yield d, lost, *((int(lost), losers - lost) if losers else (1, n - 1))
+
+
+@lru_cache(maxsize=None)
+def _loser_stage(r: int, a: int, k: int, n: int) -> tuple[int, tuple[tuple[int, int, int, bool, int], ...]]:
+    """A divisor and :func:`_loser_moves` as ``(d, next a, next k, won,
+    ways)``: under a = 1 :func:`_stage_law`'s counts out of ``r ** k *
+    lcm(1..k + 1)``, split over the lottery, a win's being the u share; under
+    a = 0 the ways of k demanders to meet d of the r objects, out of ``r ** k``."""
+    if a:
+        scale = math.lcm(*range(1, k + 2))
+        counts = {d: (u, ways * scale - u) for d, ways, u, *_ in _stage_law(r, k)}
+    else:
+        scale, counts = 1, {d: (math.comb(r, d) * _surjections(k, d),) for d in range(1, min(r, k) + 1)}
+    moves = _loser_moves(r, a, k, n)
+    return r**k * scale, tuple((d, *after, bool(a) and not lost, counts[d][lost]) for d, lost, *after in moves)
+
+
+def _loser_transitions(m: int, n: int) -> int:
+    """The transitions of :func:`_loser_law`, one per entry it writes, by a
+    weight-free walk over (r, a, k), each with the p that reach it as a
+    bitmask: per reveal and outcome where the agent reports, else per outcome."""
+    layers, total = {m: {(1, n - 1): 1}}, 0
+    for r in range(m, 0, -1):
+        for (a, k), ps in layers.pop(r, {}).items():
+            if a:  # from each p the agent demands at any q from p + 1 to m - r + 1
+                lo = (ps & -ps).bit_length() - 1
+                reveals = sum(m - r + 1 - p for p in range(lo, m - r + 1) if ps >> p & 1)
+                ps = (1 << (m - r + 2)) - (1 << (lo + 1))
+            else:
+                reveals = ps.bit_count()
+            for d, _, *after in _loser_moves(r, a, k, n):
+                total += reveals
+                layer = layers.setdefault(r - d, {})
+                layer[tuple(after)] = layer.get(tuple(after), 0) | ps
+    return total
+
+
+def _loser_law(m: int, int_row: tuple[int, ...], n: int) -> tuple[int, int, int]:
+    """``(weight, sum_u, low_e)`` of one agent's runs on ``int_row`` under
+    ``loser``, a state being (r, p, a, k): their weight, the weighted sum of
+    its totals and the least total, times ``lcm(1..n) ** m``, at the scale
+    of a profile pass.  Weights start at ``(m!) ** (n - 1) * lcm(1..n) **
+    m``, which a run's divisors divide: every other agent reports at
+    distinct r, and the agent m times at most, among n demanders at most."""
+    reveals, lottery = _reveals(m), math.lcm(*range(1, n + 1)) ** m
+    layers: dict[int, dict] = {m: {(0, 1, n - 1): [math.factorial(m) ** (n - 1) * lottery, 0, 0]}}
+    for r in range(m, 0, -1):
+        for (p, a, k), (weight, total, low) in layers.pop(r, {}).items():
+            divisor, moves = _loser_stage(r, a, k, n)
+            draws = ((q, r * ways) for q, ways in enumerate(reveals[m - p - r], start=p + 1)) if a else ((p, 1),)
+            for q, ways in draws:
+                for d, *after, won, times in moves:
+                    times *= ways
+                    banked = int_row[q] if won else 0
+                    entry = layers.setdefault(r - d, {}).setdefault((q, *after), [0, 0, low + banked])
+                    entry[0] += weight * times // divisor
+                    entry[1] += (total + weight * banked) * times // divisor
+                    entry[2] = min(entry[2], low + banked)
+    ended = [(math.factorial(m - p), entry) for (p, *_), entry in layers[0].items()]
+    weight, total = (sum(rest * entry[i] for rest, entry in ended) for i in (0, 1))
+    return weight // lottery, total, min(entry[2] for _, entry in ended) * lottery
 
 
 def _agent_laws(turns: Sequence[int] | None, m: int, n: int, int_row: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

@@ -11,23 +11,23 @@ value's producer from its input (policy and criterion), whichever caller
 asks:
 
 * every per-agent value of ``all`` or of a turn sequence (y = u or y = e,
-  either z) comes from the integer law of one agent's run
-  (:func:`symmetric_aggregates`, over ``_agent_law`` of
-  :mod:`allocsim.sequential`), in which the agent draws its ranking lazily
-  from the top, without enumerating profiles;
+  either z), and of ``loser`` with y = z, comes from the integer law of one
+  agent's run (:func:`symmetric_aggregates`, over ``_agent_law`` or
+  ``_loser_law`` of :mod:`allocsim.sequential`), in which the agent draws
+  its ranking lazily from the top, without enumerating profiles;
 * ``em-u`` and ``em-e`` of ``all`` or of a turn sequence come from one
   integer DP over the joint law of a run (:func:`joint_law_aggregates`), in
   which every agent draws her ranking lazily from the top;
-* every value of ``loser`` and custom policies is one pass over a profile
-  stream (:func:`profile_aggregates`) with the memoized integer kernel
-  ``policy_values_scaled`` of :mod:`allocsim.parallel`; a single profile
-  (:func:`profile_utilities`) is a stream of one item, through
+* every other value of ``loser`` and custom policies is one pass over a
+  profile stream (:func:`profile_aggregates`) with the memoized integer
+  kernel ``policy_values_scaled`` of :mod:`allocsim.parallel`; a single
+  profile (:func:`profile_utilities`) is a stream of one item, through
   ``all_reporting_values_scaled`` for ``all`` and
-  ``sequential_values_scaled`` for a turn sequence.  The pass takes ``all``
-  and turn sequences too, as the oracle the tests hold both laws to.  A
-  profile-space pass streams one representative per object relabeling, and
-  for ``all`` and ``loser``, which treat agents alike, evaluates one per
-  relabeling of agents 2..n.
+  ``sequential_values_scaled`` for a turn sequence.  The pass takes every
+  policy, as the oracle the tests hold the laws to.  A profile-space pass
+  streams one representative per object relabeling, and for ``all`` and
+  ``loser``, which treat agents alike, evaluates one per relabeling of
+  agents 2..n.
 
 A pass yields one :class:`ProfileAggregates` record: for each lottery axis,
 every agent's weighted utility sum and minimum over profiles and the weighted
@@ -35,15 +35,15 @@ sum of the per-profile minimum, all integers over one scale, divided only when
 a criterion reads them.  One accumulator, :func:`_accumulate`, builds it.  A
 turn sequence has one run, so its pass totals one axis and reports it for
 both.  The joint law yields the same integers, for the lottery axis asked, and
-the agent law the same sums and minima, for both axes; reading a statistic a
-record does not hold raises ``ValueError``.  Chunks' records merge by summing
-in order.  With ``jobs > 1`` a large enough pass is chunked across one worker
-pool that lives as long as that pass, its chunks holding about equal numbers
-of profiles; the chunk reduction is order-fixed and exact, so results are
-bit-identical for any worker count.  The expected-min search over turn
-sequences scores every candidate on the joint law of its run, replaying only
-the turns after the prefix it shares with the candidate before; it runs
-in-process and starts no pool.
+the agent law the same sums and minima, for both axes (``loser``: u sums, e
+minima); reading a statistic a record does not hold raises ``ValueError``.
+Chunks' records merge by summing in order.  With ``jobs > 1`` a large enough
+pass is chunked across one worker pool that lives as long as that pass, its
+chunks holding about equal numbers of profiles; the chunk reduction is
+order-fixed and exact, so results are bit-identical for any worker count.
+The expected-min search over turn sequences scores every candidate on the
+joint law of its run, replaying only the turns after the prefix it shares
+with the candidate before; it runs in-process and starts no pool.
 """
 
 from __future__ import annotations
@@ -76,6 +76,8 @@ from .sequential import (
     _agent_laws,
     _best_sequence,
     _law_transitions,
+    _loser_law,
+    _loser_transitions,
     _reveals,
     _sequence_transitions,
     _share,
@@ -390,8 +392,9 @@ def symmetric_aggregates(
     sequence, for both lottery axes, without its per-profile minimum
     (``min_sums`` is empty): every agent's sums and minima, from the law of
     its run.  Under a turn sequence the other agents' rankings multiply the
-    law's weights by ``(m!) ** (n - 1)``.  One work unit is one transition of
-    the law, all of them counted before the first.
+    law's weights by ``(m!) ** (n - 1)``.  Under ``loser`` it holds agent 1's
+    ``sums["u"]`` and ``minima["e"]`` for every agent, and nothing else.
+    One work unit is one transition of the law, all counted before the first.
 
     ``bench/tracer.py`` wraps this function by its name and reads its
     ``policy``, ``m``, ``n`` and ``budget_units`` arguments.
@@ -403,11 +406,16 @@ def symmetric_aggregates(
     elif isinstance(policy, FromSequential):
         turns = policy.policy.turns
         estimate, scale, others = _sequence_transitions(turns), 1, math.factorial(m) ** (n - 1)
+    elif isinstance(policy, LoserReporting):
+        estimate, scale = _loser_transitions(m, n), math.lcm(*range(1, n + 1)) ** m
     else:
-        raise ValueError("the agent law only serves all-reporting and turn sequences")
+        raise ValueError("the agent law only serves all-reporting, loser and turn sequences")
     policy.check_fit(m, n)
     _within_budget(estimate, budget_units, "the agent law needs")
     int_row, denom = g.integer_row(m)
+    if isinstance(policy, LoserReporting):
+        weight, total, low = _loser_law(m, int_row, n)
+        return ProfileAggregates(scale * denom, weight, {"u": (total,) * n}, {"e": (low,) * n}, {})
     laws = _agent_laws(turns, m, n, int_row)
     return ProfileAggregates(
         scale * denom,
@@ -583,10 +591,12 @@ def _record_for(
     criterion: WelfareCriterion, policy: ParallelPolicy, g: ScoringSpec, m: int, n: int, jobs: int,
     budget_units: int | None,
 ) -> ProfileAggregates:
-    """The record that holds ``criterion``'s statistic: for ``all`` and turn
-    sequences, the joint law of a run for em-* and the law of one agent's run
-    for every per-agent value; one profile pass, the oracle the tests hold
-    both laws to, for every other policy."""
+    """The record that holds ``criterion``'s statistic: the joint law of a
+    run for em-* of ``all`` and turn sequences, the law of one agent's run
+    for their per-agent values and for ``loser``'s with y = z; one profile
+    pass, the oracle the tests hold the laws to, for every other value."""
+    if isinstance(policy, LoserReporting) and criterion.y == criterion.z:  # (u, u) or (e, e)
+        return symmetric_aggregates(policy, g, m, n, budget_units)
     if not isinstance(policy, (AllReporting, FromSequential)):
         return profile_aggregates(policy, g, m, n, jobs, budget_units)
     if criterion.mode == "emin":

@@ -245,7 +245,7 @@ class TestExitCodes:
         run_cli("simulate", "--policy", "all", "--profile", str(bad), expect_code=3)
 
     def test_budget_error_is_4(self):
-        # ``loser`` has no agent law and no joint law, so it still enumerates.
+        # ``loser``'s law serves only y = z, so a mixed criterion still enumerates.
         run_cli("eval", "-m", "9", "-n", "3", "--policy", "loser", "--criterion", "ueu", expect_code=4)
 
     def test_policy_violation_is_5(self, profile_file):
@@ -316,6 +316,32 @@ class TestEval:
         # run (y = e); the law of one agent's run answers each at once.
         out = run_cli("eval", "--policy", policy, "-m", m, "-n", n, "--criterion", criterion)
         assert out.strip() == printed
+
+    @pytest.mark.parametrize(
+        "m, criterion, exact",
+        [("5", "uuu", "8109/400"), ("6", "uuu", "222869/7776"), ("6", "eee", "5"), ("7", "uuu", "9717557/254016")],
+    )
+    def test_loser_values_pinned(self, m, criterion, exact):
+        # Borda with 3 agents.  The values at m = 5 and 6 are the profile
+        # pass's, which takes seconds at (6, 3) and exceeds the default
+        # budget at (7, 3); the law of one agent's run answers each at once.
+        out = run_cli("eval", "--policy", "loser", "-m", m, "-n", "3", "--criterion", criterion, "--format", "json")
+        assert json.loads(out)["exact"] == exact
+
+    def test_short_options_match_without_suggestions(self):
+        # Click imports difflib to suggest long names when an option misses as
+        # a long one; a separate -m or -n matches at once.  Every spelling of
+        # a short option still parses.
+        code = (
+            "import sys; from allocsim.cli import cli\n"
+            "cli.main(['eval', '--policy', 'all', '-m', '2', '-n', '2'], standalone_mode=False)\n"
+            "print('difflib' in sys.modules)\n"
+            "for m in ('-m2',), ('-m=2',):\n"
+            "    cli.main(['eval', '--policy', 'all', *m, '-n', '2'], standalone_mode=False)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, "3.5\nFalse\n3.5\n3.5\n"), proc.stderr
 
     def test_requires_sizes_or_profile(self):
         run_cli("eval", "--policy", "all", expect_code=2)

@@ -123,7 +123,7 @@ class TestSocialWelfare:
         assert value == 4
 
     def test_budget_refusal(self, borda):
-        # ``loser`` has no agent law and no joint law, so it still enumerates.
+        # ``loser``'s law serves only y = z, so a mixed criterion still enumerates.
         with pytest.raises(BudgetExceededError):
             evaluate_criterion(parse_criterion("ueu"), LoserReporting(), borda, 9, 3)
 
@@ -331,7 +331,7 @@ class TestQuotientPass:
 
     def test_rejects_other_policies(self, borda):
         with pytest.raises(ValueError):
-            symmetric_aggregates(LoserReporting(), borda, 3, 2)
+            symmetric_aggregates(CustomPolicy(lambda history: (1, 2)), borda, 3, 2)
 
 
 def sorted_items(rows):
@@ -634,19 +634,20 @@ class TestRoutes:
         assert passes == []
 
     @pytest.mark.parametrize(
-        "policy,law",
+        "policy,law_axes,law",
         [
-            (AllReporting(), True),
-            (FromSequential(SequentialPolicy((1, 2, 2, 1))), True),
-            (LoserReporting(), False),
-            (CustomPolicy(lambda history: (len(history) % 2 + 1,), name="alternate"), False),
+            (AllReporting(), ("uu", "ue", "eu", "ee"), True),
+            (FromSequential(SequentialPolicy((1, 2, 2, 1))), ("uu", "ue", "eu", "ee"), True),
+            (LoserReporting(), ("uu", "ee"), False),
+            (CustomPolicy(lambda history: (len(history) % 2 + 1,), name="alternate"), (), False),
         ],
         ids=["all", "seq", "loser", "custom"],
     )
-    def test_each_value_calls_its_producer(self, policy, law, monkeypatch, borda):
+    def test_each_value_calls_its_producer(self, policy, law_axes, law, monkeypatch, borda):
         # README's code-path table: the agent law for every x y z of `all`
-        # and of a sequence, the joint law for their em-*, and a profile pass
-        # for every value of every other policy.
+        # and of a sequence and for `loser`'s with y = z, the joint law for
+        # em-* of `all` and of a sequence, and a profile pass for every other
+        # value, such as `loser`'s ueu and em-u.
         calls = []
         for name in ("symmetric_aggregates", "joint_law_aggregates", "profile_aggregates"):
             def recorded(*args, _name=name, _produce=getattr(welfare, name), **kwargs):
@@ -655,8 +656,8 @@ class TestRoutes:
 
             monkeypatch.setattr(welfare, name, recorded)
 
-        per_agent = "symmetric_aggregates" if law else "profile_aggregates"
         for x, y, z in itertools.product("ue", repeat=3):
+            per_agent = "symmetric_aggregates" if y + z in law_axes else "profile_aggregates"
             evaluate_criterion(parse_criterion(x + y + z), policy, borda, 4, 2)
             agent_value(2, y, z, policy, borda, 4, 2)
             assert calls == [per_agent] * 2
@@ -810,13 +811,19 @@ class TestAgentLaw:
         assert checked == 8 + 255 + 1644  # n = 1, 2 and 3
 
     @pytest.mark.parametrize(
-        "policy", [AllReporting(), FromSequential(SequentialPolicy((1, 2, 1, 1, 2)))], ids=["all", "seq"]
+        "policy,module,name",
+        [
+            (AllReporting(), sequential, "_agent_law"),
+            (FromSequential(SequentialPolicy((1, 2, 1, 1, 2))), sequential, "_agent_law"),
+            (LoserReporting(), welfare, "_loser_law"),
+        ],
+        ids=["all", "seq", "loser"],
     )
-    def test_zero_budget_refuses_before_the_law(self, policy, monkeypatch, borda):
+    def test_zero_budget_refuses_before_the_law(self, policy, module, name, monkeypatch, borda):
         def law(*args):
             raise AssertionError("the agent law ran")
 
-        monkeypatch.setattr(sequential, "_agent_law", law)
+        monkeypatch.setattr(module, name, law)
         with pytest.raises(AssertionError, match="the agent law ran"):
             symmetric_aggregates(policy, borda, 5, 2)
         with pytest.raises(BudgetExceededError):
@@ -833,8 +840,15 @@ class TestAgentLaw:
             lambda g: symmetric_aggregates(FromSequential(SequentialPolicy((1, 2, 1))), g, 3, 2).expected_min("e"),
             lambda g: welfare.joint_law_aggregates(AllReporting(), g, 3, 2, "u").expected("e"),
             lambda g: welfare.joint_law_aggregates(AllReporting(), g, 3, 2, "e").minimum("u"),
+            lambda g: symmetric_aggregates(LoserReporting(), g, 3, 2).values("u", "e"),
+            lambda g: symmetric_aggregates(LoserReporting(), g, 3, 2).values("e", "u"),
+            lambda g: symmetric_aggregates(LoserReporting(), g, 3, 2).expected_min("u"),
+            lambda g: symmetric_aggregates(LoserReporting(), g, 3, 2).expected_min("e"),
         ],
-        ids=["all-expected-min", "seq-expected-min", "joint-expected", "joint-minimum"],
+        ids=[
+            "all-expected-min", "seq-expected-min", "joint-expected", "joint-minimum",
+            "loser-ue", "loser-eu", "loser-expected-min-u", "loser-expected-min-e",
+        ],
     )
     def test_records_refuse_what_they_do_not_hold(self, read, borda):
         with pytest.raises(ValueError, match="holds no (min_sums|sums|minima) for lottery axis"):
@@ -905,6 +919,83 @@ class TestAgentLaw:
             assert (law.total_weight, law.sums, law.minima) == (joint.total_weight, joint.sums, joint.minima)
             checked += 1
         assert checked == 15
+
+
+# The cells at which the law of one agent's run under ``loser`` is held to the
+# profile pass: the pass's cost grows as comb(m! + n - 2, n - 1).
+LOSER_CELLS = [(m, n) for m in range(1, 6) for n in range(1, 4)] + [
+    (m, n) for n, top in ((4, 4), (5, 3), (6, 2)) for m in range(1, top + 1)
+]
+
+
+def loser_transitions_by_search(m, n):
+    """Count the transitions of the law of one agent's run under ``loser`` by
+    walking every state (r, p, a, k) it reaches: where the agent reports,
+    one per reveal, number d of objects demanded and lottery result (a loss
+    only when someone lost); elsewhere one per d."""
+    count, layers = 0, {m: {(0, 1, n - 1)}}
+    for r in range(m, 0, -1):
+        for p, a, k in layers.pop(r, set()):
+            qs = range(p + 1, m - r + 2) if a else (p,)
+            for d in range(1, min(r, k + a) + 1):
+                losers = a + k - d
+                after = [(0, losers) if losers else (1, n - 1)]
+                if a and d <= k:
+                    after.append((1, losers - 1))
+                for state in after:
+                    count += len(qs)
+                    layers.setdefault(r - d, set()).update((q, *state) for q in qs)
+    return count
+
+
+def assert_loser_law_matches_the_pass(g, m, n):
+    """The law's record holds the pass's u sums and e minima, integer for
+    integer, and serves every agent's uu and ee value."""
+    law, oracle = symmetric_aggregates(LoserReporting(), g, m, n), profile_aggregates(LoserReporting(), g, m, n)
+    assert (law.scale, law.total_weight) == (oracle.scale, oracle.total_weight)
+    assert (law.sums, law.minima) == ({"u": oracle.sums["u"]}, {"e": oracle.minima["e"]})
+    for agent in range(1, n + 1):
+        for y, z in ("uu", "ee"):
+            assert agent_value(agent, y, z, LoserReporting(), g, m, n) == oracle.values(y, z)[agent - 1]
+
+
+class TestLoserLaw:
+    """The law of one agent's run under ``loser``, which serves its uuu, euu,
+    uee and eee, held to the profile pass and to its budget."""
+
+    @pytest.mark.parametrize("kind", ["borda", "lex"])
+    def test_record_equals_the_pass(self, kind):
+        g = ScoringSpec(kind)
+        for m, n in LOSER_CELLS:
+            assert_loser_law_matches_the_pass(g, m, n)
+
+    @settings(max_examples=40)
+    @given(cell=st.sampled_from(LOSER_CELLS), data=st.data())
+    def test_rational_rows_equal_the_pass(self, cell, data):
+        m, n = cell
+        assert_loser_law_matches_the_pass(data.draw(rational_rows(m)), m, n)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (1, 4), (2, 6), (5, 3), (4, 4), (7, 3), (9, 5), (12, 4)])
+    def test_budget_estimate_counts_transitions(self, borda, m, n):
+        with pytest.raises(BudgetExceededError) as refused:
+            symmetric_aggregates(LoserReporting(), borda, m, n, budget_units=0)
+        count = refused.value.estimated
+        assert count == loser_transitions_by_search(m, n)
+        symmetric_aggregates(LoserReporting(), borda, m, n, budget_units=count)
+        with pytest.raises(BudgetExceededError):
+            symmetric_aggregates(LoserReporting(), borda, m, n, budget_units=count - 1)
+
+    def test_count_takes_no_stage_counts(self, borda, monkeypatch):
+        # The count walks states without weights, so a refusal costs no
+        # stage's big-integer counts, however large the cell.
+        def counted(*args):
+            raise AssertionError("a stage was counted")
+
+        monkeypatch.setattr(sequential, "_stage_law", counted)
+        monkeypatch.setattr(sequential, "_surjections", counted)
+        with pytest.raises(BudgetExceededError) as refused:
+            symmetric_aggregates(LoserReporting(), borda, 150, 60, budget_units=0)
+        assert refused.value.estimated == sequential._loser_transitions(150, 60)
 
 
 class TestPoolChunks:
