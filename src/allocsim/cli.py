@@ -314,7 +314,7 @@ def eval_cmd(m, n, policy_literal, scoring_literal, criterion_literal, profile_p
 @click.option("--scoring", "scoring_literal", default="borda", show_default=True)
 @click.option("--criterion", "criterion_literal", default="uuu", show_default=True,
               help="uuu (sum of expectations), euu (min of expectations) or em-u (expected minimum).")
-@click.option("--budget", type=float, default=None)
+@click.option("--budget", type=float, default=None, help="Search budget in seconds.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--output", type=click.Path(), default=None)
 @_guard
@@ -327,7 +327,7 @@ def optimal_seq(m, n, scoring_literal, criterion_literal, budget, fmt, output):
     if criterion.mode == "emin":
         policy, value = optimal_sequential_expected_min(m, n, g, budget_units=budget_units)
     elif criterion.literal() in ("uuu", "euu"):
-        policy, value = optimal_sequential(m, n, g, Aggregator(criterion.x))
+        policy, value = optimal_sequential(m, n, g, Aggregator(criterion.x), budget_units=budget_units)
     else:
         raise click.UsageError("optimal-seq supports the criteria uuu, euu and em-u")
     if fmt == "json":

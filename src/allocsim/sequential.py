@@ -10,9 +10,11 @@ of ``loser``, the average expected and least guaranteed utility):
 from one agent's point of view every other agent demands a uniformly random
 remaining object, while the agent demands its best remaining one.  Under a
 sequence the law is a function of the steps at which the agent picks, which
-makes exhaustive policy search affordable.  The law counts in integers at
-the scale ``m! * denom`` of :meth:`ScoringSpec.integer_row`; a search folds
-and compares its candidates at that scale and divides once, for the winner.
+makes exhaustive policy search affordable: the search tabulates the law's
+sum for every set of picking steps, once per call, and reads each candidate's
+agents off that table.  The law counts in integers at the scale ``m! *
+denom`` of :meth:`ScoringSpec.integer_row`; a search folds and compares its
+candidates at that scale and divides once, for the winner.
 The test suite pins the law to a ``Fraction`` DP and, exactly, to a
 per-profile pass over the same profile stream (``profile_aggregates``).
 
@@ -28,9 +30,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, zip_longest
+from operator import mul, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, PolicyViolationError
+from .budget import within_budget
+from .errors import PolicyViolationError
 from .model import ScoringSpec
 
 __all__ = [
@@ -40,9 +45,6 @@ __all__ = [
     "canonical_turn_sequences",
     "canonicalize_turns",
 ]
-
-DEFAULT_SEARCH_BUDGET = 10**7
-
 
 class Aggregator(enum.Enum):
     """How per-agent values are folded into a social value.  The values are
@@ -159,7 +161,6 @@ def _reveals(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(math.perm(t, j) for j in range(t + 1)) for t in range(m))
 
 
-@lru_cache(maxsize=8192)  # shared by every search of a process; tables 1-4 fill about 4,000
 def _agent_law(
     m: int, int_row: tuple[int, ...], others: int, picks: frozenset[int] | None
 ) -> tuple[int, int, int, int, int]:
@@ -321,7 +322,9 @@ def _agent_laws(turns: Sequence[int] | None, m: int, n: int, int_row: tuple[int,
 
 
 # ---------------------------------------------------------------------------
-# Optimal policy search
+# Optimal policy search.  Under a turn sequence an agent's law is a function
+# of its set S of picking steps alone, so the search tabulates the agent's sum
+# for every S once and reads each candidate's agents off that table.
 
 
 def canonicalize_turns(turns: Sequence[int]) -> tuple[int, ...]:
@@ -338,18 +341,25 @@ def canonicalize_turns(turns: Sequence[int]) -> tuple[int, ...]:
 
 def canonical_turn_sequences(m: int, n: int) -> Iterator[tuple[int, ...]]:
     """All first-appearance-canonical turn sequences of length m over at most
-    n agents, in lexicographic order (restricted growth strings)."""
+    n agents, in lexicographic order (restricted growth strings).
 
-    def rec(prefix: list[int], used: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == m:
-            yield tuple(prefix)
-            return
-        for t in range(1, min(used + 1, n) + 1):
-            prefix.append(t)
-            yield from rec(prefix, max(used, t))
-            prefix.pop()
+    Each is a head followed by a tail of a few turns.  The tails that may
+    follow a head are those that may follow its highest agent; each such list
+    is built once, and each sequence costs one tuple concatenation."""
+    lists: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
-    yield from rec([], 0)
+    def after(length: int, high: int) -> list[tuple[int, ...]]:
+        """Every ``length`` turns that may follow turns whose highest agent
+        is ``high`` (0 for none), in lexicographic order."""
+        if (length, high) not in lists:
+            lists[length, high] = [()] if length == 0 else [
+                (t, *rest) for t in range(1, min(high + 1, n) + 1) for rest in after(length - 1, max(high, t))
+            ]
+        return lists[length, high]
+
+    tail = min(m, max(1, 12 // max(n, 2).bit_length()))  # at most about 4,096 tails per highest agent
+    for head in after(m - tail, 0):
+        yield from map(head.__add__, after(tail, max(head, default=0)))
 
 
 def _best_sequence(
@@ -367,30 +377,103 @@ def _best_sequence(
     return SequentialPolicy(best[1]), best[0]
 
 
+def _pick_set_sums(m: int, int_row: tuple[int, ...]) -> list[int]:
+    """``sums[S]``: the ``sum_u`` (equal to ``sum_e``) of :func:`_agent_law`
+    for an agent that picks at the steps in S of a turn sequence, S a bitmask
+    whose bit s - 1 stands for step s.
+
+    A step where the agent does not pick leaves its law unchanged, so the
+    layer after its picks up to step s is shared by every S with those picks:
+    a depth-first walk over the steps makes one layer update per nonempty S,
+    2**m - 1 in all.  After c picks, the last at step b, the layer holds
+    every p from c to b.  A pick at step s demands from p at any q in p + 1..s,
+    in ``r * perm(s - 1 - p, q - 1 - p)`` ways (:func:`_reveals`), r = m - s + 1
+    objects being left; so the ways summed over p < q follow q by Horner's rule.
+    The factor r is common to a layer, and is kept aside as a product over
+    the picks."""
+    ends = [math.factorial(m - p) for p in range(m + 1)]
+    sums = [0] * (1 << m)
+
+    def walk(first: int, low: int, weights: list[int], totals: list[int], picked: int, factor: int) -> None:
+        # The layer after the picks in `picked`, the last at step first - 1,
+        # over `factor`: p = low + i has weight weights[i] and total totals[i].
+        for s in range(first, m + 1):
+            next_weights, next_totals = [], []
+            weight = total = 0  # summed over p < q, each times its ways to reach q (over r)
+            for q, w, t in zip_longest(range(low + 1, s + 1), weights, totals, fillvalue=0):
+                stay = s - q + 1
+                weight = weight * stay + w
+                total = total * stay + t
+                next_weights.append(weight)
+                next_totals.append(total + int_row[q] * weight)
+            mask, scale = picked | 1 << (s - 1), factor * (m - s + 1)
+            sums[mask] = scale * sum(map(mul, ends[low + 1 : s + 1], next_totals))
+            if s < m:
+                walk(s + 1, low + 1, next_weights, next_totals, mask, scale)
+
+    walk(1, 0, [1], [0], 0, 1)
+    return sums
+
+
+def _table_transitions(m: int) -> int:
+    """The transitions of the law that :func:`_pick_set_sums` tabulates, as
+    :func:`_sequence_transitions` counts them: over every nonempty S, those
+    of its last pick at step s, s - p from each p of the layer before it.
+    Summed over S, ``((m**2 + 3m - 16) * 2**m + 4 * (m**2 + 3m + 4)) / 8``."""
+    return ((m * m + 3 * m - 16) * 2**m + 4 * (m * m + 3 * m + 4)) // 8
+
+
+def _canonical_count(m: int, n: int) -> int:
+    """How many sequences :func:`canonical_turn_sequences` yields: the
+    partitions of m steps into at most n blocks, the sum of the Stirling
+    numbers S(m, k) for k <= n."""
+    blocks = min(m, n)
+    counts = [1] + [0] * blocks  # S(0, k)
+    for _ in range(m):
+        counts = [0] + [k * counts[k] + counts[k - 1] for k in range(1, blocks + 1)]
+    return sum(counts)
+
+
 def optimal_sequential(
     m: int,
     n: int,
     g: ScoringSpec,
     aggregator: Aggregator,
+    budget_units: int | None = None,
 ) -> tuple[SequentialPolicy, Fraction]:
     """Exhaustive argmax of expected welfare over all ``n**m`` turn sequences.
 
     Welfare is invariant under renaming agents, so only canonical sequences
     are evaluated; ties break to the lexicographically smallest sequence,
     which is exactly what a full scan with the same tie-break would return.
+
+    A candidate's value folds its agents' entries of :func:`_pick_set_sums`,
+    each agent's pick set kept as a bitmask that changes only at the steps
+    where the candidate differs from the one before.  One work unit is one
+    transition of the table's law or one candidate, all counted before the
+    table is built (``budget_units`` None: the default budget).  With one
+    agent there is one candidate, and one law of m transitions.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must both be at least 1")
-    if n**m > DEFAULT_SEARCH_BUDGET:
-        raise BudgetExceededError(
-            f"search space {n}^{m} exceeds the fixed cap of {DEFAULT_SEARCH_BUDGET} turn sequences, "
-            f"which no budget raises",
-            estimated=n**m,
-            budget=DEFAULT_SEARCH_BUDGET,
-        )
+    transitions = _table_transitions(m) if n > 1 else m
+    within_budget(transitions, budget_units, "the pi* search needs at least")
+    within_budget(transitions + _canonical_count(m, n), budget_units, "the pi* search needs")
     int_row, denom = g.integer_row(m)
-    pi, best = _best_sequence(
-        canonical_turn_sequences(m, n),
-        lambda turns: aggregator.apply(law[1] for law in _agent_laws(turns, m, n, int_row)),
-    )
-    return pi, Fraction(best, math.factorial(m) * denom)
+    scale = math.factorial(m) * denom
+    if n == 1:
+        return SequentialPolicy((1,) * m), Fraction(_agent_law(m, int_row, 0, None)[1], scale)
+    read = _pick_set_sums(m, int_row).__getitem__
+    masks = [(1 << m) - 1] + [0] * (n - 1)  # agent t picks at the steps of masks[t - 1]
+    previous, steps, bits = (1,) * m, range(m), [1 << s for s in range(m)]
+
+    def value_of(turns: tuple[int, ...]) -> int:
+        nonlocal previous
+        for s in compress(steps, map(ne, previous, turns)):
+            masks[previous[s] - 1] ^= bits[s]
+            masks[turns[s] - 1] ^= bits[s]
+        previous = turns
+        return aggregator.apply(map(read, masks))
+
+    pi, best = _best_sequence(canonical_turn_sequences(m, n), value_of)
+    return pi, Fraction(best, scale)

@@ -56,6 +56,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
+from .budget import (  # callers still read the budget's names from this module
+    BUDGET_ENV_VAR,
+    DEFAULT_BUDGET_SECS,
+    UNITS_PER_SECOND,
+    resolve_budget_units,
+    within_budget,
+)
 from .errors import BudgetExceededError
 from .model import Profile, ScoringSpec, enumerate_profiles
 from .parallel import (
@@ -101,38 +108,6 @@ __all__ = [
     "DEFAULT_BUDGET_SECS",
     "UNITS_PER_SECOND",
 ]
-
-DEFAULT_BUDGET_SECS = 60.0
-# Rough throughput of the enumeration hot loops (profile-stages per second on
-# one desktop core); only used to turn a seconds budget into a work-unit cap.
-UNITS_PER_SECOND = 200_000
-BUDGET_ENV_VAR = "ALLOC_BUDGET_SECS"
-
-
-def resolve_budget_units(budget_secs: float | None = None) -> int:
-    """Deterministic work-unit cap (one unit is roughly one stage of one
-    profile evaluation).  ``ALLOC_BUDGET_SECS`` overrides the default.  The
-    seconds must be finite and at least 0; 0 means one unit."""
-    if budget_secs is None:
-        raw = os.environ.get(BUDGET_ENV_VAR)
-        budget_secs = float(raw) if raw else DEFAULT_BUDGET_SECS
-    if not 0 <= budget_secs < math.inf:
-        raise ValueError(f"budget (--budget or {BUDGET_ENV_VAR}) must be finite seconds >= 0, got {budget_secs}")
-    return max(1, int(budget_secs * UNITS_PER_SECOND))
-
-
-def _within_budget(estimated: int, budget_units: int | None, needs: str) -> int:
-    """The budget in work units, once work estimated at ``estimated`` units
-    is known to fit it; ``needs`` opens the refusal message."""
-    budget = budget_units if budget_units is not None else resolve_budget_units()
-    if estimated > budget:
-        raise BudgetExceededError(
-            f"{needs} {estimated} work units, budget is {budget}",
-            estimated=estimated,
-            budget=budget,
-        )
-    return budget
-
 
 @dataclass(frozen=True)
 class WelfareCriterion:
@@ -366,7 +341,7 @@ def profile_aggregates(
     orbits = isinstance(policy, (AllReporting, LoserReporting))
     # with orbits, the sorted rankings of agents 2..n
     items = math.comb(math.factorial(m) + n - 2, n - 1) if orbits else stream.count
-    _within_budget(items * m, budget_units, "enumeration needs about")
+    within_budget(items * m, budget_units, "enumeration needs about")
     built_in = orbits or isinstance(policy, FromSequential)
     if workers > 1 and built_in and stream.count > 4 * workers:
         chunks = stream.partition(workers * 4, _orbit_items(m, n) if orbits else None)
@@ -411,7 +386,7 @@ def symmetric_aggregates(
     else:
         raise ValueError("the agent law only serves all-reporting, loser and turn sequences")
     policy.check_fit(m, n)
-    _within_budget(estimate, budget_units, "the agent law needs")
+    within_budget(estimate, budget_units, "the agent law needs")
     int_row, denom = g.integer_row(m)
     if isinstance(policy, LoserReporting):
         weight, total, low = _loser_law(m, int_row, n)
@@ -457,7 +432,7 @@ class _RunLaw:
 
     def _visit(self, transitions: int) -> None:
         self.transitions += transitions
-        _within_budget(self.transitions * self.n, self.budget, "the joint-law DP needs at least")
+        within_budget(self.transitions * self.n, self.budget, "the joint-law DP needs at least")
 
     def _room(self) -> int:
         """The transitions left within the budget."""
@@ -787,14 +762,17 @@ def reproduce_table(
                 continue
             if max_n is not None and n > max_n:
                 continue
-        # The all-reporting column runs first: it is the cheaper part to
-        # refuse, and the pi* search of tables 1-4 has no budget.
+        # The all-reporting column runs first: in every table its law costs
+        # fewer units than the pi* search, so a cell the budget refuses
+        # spends nothing on the search.
         try:
             value_all = evaluate_criterion(table.criterion, AllReporting(), g, m, n, jobs, budget_units)
             if table.criterion.mode == "emin":
                 pi_star, value_star = optimal_sequential_expected_min(m, n, g, budget_units=budget_units)
             else:
-                pi_star, value_star = optimal_sequential(m, n, g, Aggregator(table.criterion.x))
+                pi_star, value_star = optimal_sequential(
+                    m, n, g, Aggregator(table.criterion.x), budget_units=budget_units
+                )
             rows.append(TableRow(table_id, m, n, pi_star, value_star, value_all))
         except BudgetExceededError:
             rows.append(TableRow(table_id, m, n, None, None, None, status="timeout"))

@@ -360,19 +360,29 @@ class TestOptimalSeq:
         out = run_cli("optimal-seq", "-m", "8", "-n", "2", "--criterion", "em-u")
         assert out.split() == ["12122121", "21.7382"]
 
-    def test_refusal_names_the_fixed_cap(self):
-        # The uuu/euu search caps n**m at a constant that --budget does not
-        # reach, so its refusal offers no budget to raise.
-        proc = subprocess.run(
-            [sys.executable, "-m", "allocsim.cli", "optimal-seq", "-m", "15", "-n", "3", "--criterion", "uuu",
-             "--budget", "100000"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 4, proc.stderr
-        assert proc.stderr == (
-            "Error: search space 3^15 exceeds the fixed cap of 10000000 turn sequences, which no budget raises\n"
-        )
+    def test_refusal_names_the_estimate_and_the_budget(self):
+        # The uuu/euu search counts its table's 1,040,521 transitions at
+        # (15, 3), and then its 2,391,485 candidates too.  --budget 1 is
+        # 200,000 units, --budget 10 is 2,000,000.
+        for budget, message in [
+            ("1", "the pi* search needs at least 1040521 work units, budget is 200000"),
+            ("10", "the pi* search needs 3432006 work units, budget is 2000000"),
+        ]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "allocsim.cli", "optimal-seq", "-m", "15", "-n", "3", "--criterion", "uuu",
+                 "--budget", budget],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 4, proc.stderr
+            assert proc.stderr == f"Error: {message}\n"
+
+    def test_budget_bounds_the_search(self):
+        # 0.001 s is 200 units, where the (16, 2) search counts 2,392,218; the
+        # (8, 3) search counts 3,444, within the 20,000 of 0.1 s.
+        run_cli("optimal-seq", "-m", "16", "-n", "2", "--budget", "0.001", expect_code=4)
+        out = run_cli("optimal-seq", "-m", "8", "-n", "3", "--criterion", "euu", "--budget", "0.1")
+        assert out.split() == ["11223323", "15"]
 
     def test_has_no_jobs_option(self):
         # The em-u search runs its candidates in-process; no pool to size.

@@ -2,8 +2,9 @@
 
 ``tests/data/tableN.csv`` holds the stdout of ``allocsim tables --id N
 --jobs 1`` at the default budget.  Every table runs in this one process, so
-the tables share the agent law's cache; a cold cache and the module entry
-point are left to a fresh ``python -m allocsim.cli`` per table.
+the tables share the process's caches (the laws of one stage and the reveal
+counts); cold caches and the module entry point are left to a fresh
+``python -m allocsim.cli`` per table.
 """
 
 import csv

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -10,10 +11,18 @@ from hypothesis import strategies as st
 from allocsim.errors import BudgetExceededError, PolicyViolationError
 from allocsim.model import Profile, Ranking, ScoringSpec, identity_ranking
 from allocsim.parallel import STOP, FromSequential, build_structure, enumerate_outcomes
+from allocsim import sequential
 from allocsim.sequential import (
     Aggregator,
     SequentialPolicy,
     _agent_law,
+    _best_sequence,
+    _canonical_count,
+    _pick_set_sums,
+    _reveals,
+    _sequence_transitions,
+    _stage_law,
+    _table_transitions,
     canonical_turn_sequences,
     canonicalize_turns,
     optimal_sequential,
@@ -71,6 +80,31 @@ def fraction_positions_dp(m, score_row, picks):
             if not states:
                 break
     return total
+
+
+def rational_row(m):
+    """A strictly decreasing rational score row for m objects."""
+    return ScoringSpec.custom([Fraction(3 * (m - k) + 1, k + 2) for k in range(m)])
+
+
+def reference_search(m, n, g):
+    """The pi* search as a fold over every canonical candidate, in
+    lexicographic order: each agent's law of its own pick set, from
+    :func:`_agent_law`, summed or minimized, the first best candidate kept.
+    Returns ``{aggregator: (turns, value)}``; each pick set's law is computed
+    once for both folds."""
+    int_row, denom = g.integer_row(m)
+    law = functools.cache(lambda picks: _agent_law(m, int_row, 0, picks)[1])
+    laws = {
+        turns: [law(frozenset(s for s, t in enumerate(turns, start=1) if t == agent)) for agent in range(1, n + 1)]
+        for turns in itertools.product(range(1, n + 1), repeat=m)
+        if turns == canonicalize_turns(turns)
+    }
+    found = {}
+    for aggregator in Aggregator:
+        pi, best = _best_sequence(laws, lambda turns: aggregator.apply(laws[turns]))
+        found[aggregator] = (pi.turns, Fraction(best, math.factorial(m) * denom))
+    return found
 
 
 def realized(pi, profile, g):
@@ -294,9 +328,16 @@ class TestOptimalSearch:
         assert canonicalize_turns((3, 3, 2, 1, 1)) == (1, 1, 2, 3, 3)
 
     def test_canonical_sequences_cover_orbits(self):
-        canon = set(canonical_turn_sequences(3, 2))
-        full = {canonicalize_turns(t) for t in itertools.product((1, 2), repeat=3)}
-        assert canon == full
+        # Every orbit once, in lexicographic order, through heads and tails
+        # of every split the generator may choose, and more agents than steps.
+        for m in range(0, 9):
+            for n in range(1, 6):
+                if n**m > 50_000:
+                    continue
+                orbits = sorted({canonicalize_turns(t) for t in itertools.product(range(1, n + 1), repeat=m)})
+                assert list(canonical_turn_sequences(m, n)) == orbits, (m, n)
+                assert _canonical_count(m, n) == len(orbits), (m, n)
+        assert _canonical_count(15, 3) == 2_391_485
 
     @pytest.mark.parametrize("aggregator", [Aggregator.UTILITARIAN, Aggregator.EGALITARIAN])
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])
@@ -318,10 +359,74 @@ class TestOptimalSearch:
         with pytest.raises(BudgetExceededError):
             optimal_sequential(30, 2, borda, Aggregator.UTILITARIAN)
 
-    def test_positions_cache_is_bounded(self, borda):
-        # Every search of a process shares the agent law's cache: it has a
-        # fixed size, large enough for tables 1-4 (about 4,000 entries).
-        maxsize = _agent_law.cache_info().maxsize
-        assert maxsize is not None and maxsize >= 4096
+    @pytest.mark.parametrize("m, n", [(1, 1), (9, 1), (1, 3), (4, 2), (6, 3), (5, 7)])
+    def test_budget_is_the_table_and_the_candidates(self, monkeypatch, borda, m, n):
+        # One unit per transition of the table's law (one agent's run of m
+        # transitions when n = 1) and one per canonical candidate, all
+        # counted before the table is built.
+        count = (_table_transitions(m) if n > 1 else m) + _canonical_count(m, n)
+        want = optimal_sequential(m, n, borda, Aggregator.UTILITARIAN)
+        assert optimal_sequential(m, n, borda, Aggregator.UTILITARIAN, budget_units=count) == want
+        built = []
+        monkeypatch.setattr(sequential, "_pick_set_sums", lambda *args: built.append(args))
+        monkeypatch.setattr(sequential, "_agent_law", lambda *args: built.append(args))
+        with pytest.raises(BudgetExceededError) as refused:
+            optimal_sequential(m, n, borda, Aggregator.UTILITARIAN, budget_units=count - 1)
+        assert (refused.value.estimated, refused.value.budget) == (count, count - 1)
+        assert built == []
+
+    def test_budget_of_the_largest_two_agent_cell_at_the_default(self):
+        # (18, 2) still fits the default 12M units; (19, 2) does not.
+        assert _table_transitions(18) + _canonical_count(18, 2) == 11_993_279
+        assert _table_transitions(19) + _canonical_count(19, 2) > 12_000_000
+
+    def test_table_transitions_count_each_pick_sets_last_pick(self):
+        # An agent picking at the steps in `picks`, every other step taken by
+        # an agent of its own, which makes s transitions at its step s.
+        def agent(m, picks):
+            turns = [1 if s in picks else s + 1 for s in range(1, m + 1)]
+            return _sequence_transitions(turns) - sum(s for s in range(1, m + 1) if s not in picks)
+
+        for m in range(1, 11):
+            total = sum(
+                agent(m, picks) - agent(m, picks[:-1])
+                for k in range(1, m + 1)
+                for picks in itertools.combinations(range(1, m + 1), k)
+            )
+            assert _table_transitions(m) == total, m
+
+    @pytest.mark.parametrize("g", [ScoringSpec.borda(), ScoringSpec.lexicographic(), None])
+    def test_table_holds_the_agent_law_of_every_pick_set(self, g):
+        for m in range(1, 9):
+            int_row, _ = (g or rational_row(m)).integer_row(m)
+            sums = _pick_set_sums(m, int_row)
+            assert len(sums) == 2**m
+            for mask in range(2**m):
+                picks = frozenset(s for s in range(1, m + 1) if mask >> (s - 1) & 1)
+                assert sums[mask] == _agent_law(m, int_row, 0, picks)[1], (m, sorted(picks))
+
+    @pytest.mark.parametrize("scoring", ["borda", "lex", "rational"])
+    def test_matches_the_per_candidate_fold(self, scoring):
+        # The search before the pick-set table, as the reference: every
+        # (m, n) with m <= 9 and n <= 4, under both aggregators.
+        for m in range(1, 10):
+            g = {"borda": ScoringSpec.borda(), "lex": ScoringSpec.lexicographic()}.get(scoring) or rational_row(m)
+            for n in range(1, 5):
+                for aggregator, (turns, value) in reference_search(m, n, g).items():
+                    pi, found = optimal_sequential(m, n, g, aggregator)
+                    assert (pi.turns, found) == (turns, value), (m, n, aggregator)
+
+    def test_positions_cache_is_bounded(self, borda, lex):
+        # The agent law keeps no cache: a search builds its pick-set table
+        # per call and drops it, and a pass computes each law it needs once.
+        # What the module still caches is keyed by sizes alone, so searches
+        # under new scorings add nothing.
+        assert not hasattr(_agent_law, "cache_info")
+        sized = (_reveals, _stage_law)
         optimal_sequential(8, 3, borda, Aggregator.UTILITARIAN)
-        assert _agent_law.cache_info().currsize <= maxsize
+        optimal_sequential(8, 1, borda, Aggregator.UTILITARIAN)
+        before = [cached.cache_info().currsize for cached in sized]
+        for g in (lex, rational_row(8)):
+            for n in (1, 3):
+                optimal_sequential(8, n, g, Aggregator.EGALITARIAN)
+        assert [cached.cache_info().currsize for cached in sized] == before
