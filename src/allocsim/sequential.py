@@ -346,20 +346,22 @@ def canonical_turn_sequences(m: int, n: int) -> Iterator[tuple[int, ...]]:
     Each is a head followed by a tail of a few turns.  The tails that may
     follow a head are those that may follow its highest agent; each such list
     is built once, and each sequence costs one tuple concatenation."""
-    lists: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
-    def after(length: int, high: int) -> list[tuple[int, ...]]:
+    def extend(high: int, length: int) -> list[tuple[tuple[int, ...], int]]:
         """Every ``length`` turns that may follow turns whose highest agent
-        is ``high`` (0 for none), in lexicographic order."""
-        if (length, high) not in lists:
-            lists[length, high] = [()] if length == 0 else [
-                (t, *rest) for t in range(1, min(high + 1, n) + 1) for rest in after(length - 1, max(high, t))
-            ]
-        return lists[length, high]
+        is ``high`` (0 for none), in lexicographic order, each with the
+        highest agent after it."""
+        found: list[tuple[tuple[int, ...], int]] = [((), high)]
+        for _ in range(length):
+            found = [((*turns, t), max(top, t)) for turns, top in found for t in range(1, min(top + 1, n) + 1)]
+        return found
 
     tail = min(m, max(1, 12 // max(n, 2).bit_length()))  # at most about 4,096 tails per highest agent
-    for head in after(m - tail, 0):
-        yield from map(head.__add__, after(tail, max(head, default=0)))
+    tails: dict[int, list[tuple[int, ...]]] = {}
+    for head, high in extend(0, m - tail):
+        if high not in tails:
+            tails[high] = [turns for turns, _ in extend(high, tail)]
+        yield from map(head.__add__, tails[high])
 
 
 def _best_sequence(

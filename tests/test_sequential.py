@@ -338,6 +338,8 @@ class TestOptimalSearch:
                 assert list(canonical_turn_sequences(m, n)) == orbits, (m, n)
                 assert _canonical_count(m, n) == len(orbits), (m, n)
         assert _canonical_count(15, 3) == 2_391_485
+        # No recursion as deep as the sequence is long.
+        assert list(canonical_turn_sequences(3000, 1)) == [(1,) * 3000]
 
     @pytest.mark.parametrize("aggregator", [Aggregator.UTILITARIAN, Aggregator.EGALITARIAN])
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])
